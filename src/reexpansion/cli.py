@@ -7,16 +7,14 @@ written atomically (write-then-rename) and contain no timestamps, so
 identical invocations produce byte-identical artifacts.
 
 Exit status: 0 on success, 2 on usage errors (bad flags, malformed
-values, dimension mismatches against the loaded input), 1 on
-computation errors.
+values or input files, dimension mismatches against the loaded
+input), 1 on computation errors, out of memory included.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,8 +29,10 @@ from .sequences import (
     CoeffND,
     ParityVector,
     WeightExponent,
+    atomic_open,
     load_sequence,
     save_sequence,
+    weight_apply,
 )
 
 __all__ = ["CliInvocation", "parse_args", "run", "emit_report", "main"]
@@ -128,29 +128,14 @@ def parse_args(argv: list[str]) -> CliInvocation:
 
 
 def _load(path: str):
-    if not os.path.exists(path):
-        raise UsageError(f"input file not found: {path}")
     try:
         return load_sequence(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # unreadable, missing or malformed
         raise UsageError(str(exc)) from exc
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _atomic_write(text: str, path: str) -> None:
-    dirname = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def emit_report(data, path: str) -> None:
@@ -179,7 +164,8 @@ def emit_report(data, path: str) -> None:
     else:
         raise TypeError(f"no CSV writer for {type(data).__name__}")
     try:
-        _atomic_write("\n".join(lines) + "\n", path)
+        with atomic_open(path) as fh:
+            fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise RuntimeError(f"cannot write report to {path}: {exc}") from exc
 
@@ -265,8 +251,6 @@ def _run_sufficiency(opt) -> str:
     a = _require_1d(_load(opt["input"]), "sufficiency")
     windows = _parse_int_list(opt["windows"], "--windows")
     q = _parse_weight(opt["weight"], 1)
-    from .sequences import weight_apply
-
     if not q.is_zero:
         try:
             a = weight_apply(a, q)
@@ -303,21 +287,14 @@ def _run_su2(opt) -> str:
         print(f"{_fmt(value.real)} {_fmt(value.imag)}")
         return f"op=character l={opt['level']}"
     lmax = _parse_half_integer(opt["lmax"], "--lmax")
-    if op == "q1":
-        sums = _weyl.condition_q1_sum(a, lmax, denom, opt["mode"])
-        if opt["output"] is None:
-            raise UsageError("--output is required for --op q1")
-        emit_report(sums, opt["output"])
-    elif op == "q2":
-        diag = _weyl.q2_diagnostic(a, lmax, denom, opt["mode"])
-        if opt["output"] is None:
-            raise UsageError("--output is required for --op q2")
-        emit_report(diag, opt["output"])
-    else:  # table
-        table = _weyl.ext_fourier_table(a, lmax, denom, opt["mode"])
-        if opt["output"] is None:
-            raise UsageError("--output is required for --op table")
-        emit_report(table, opt["output"])
+    if opt["output"] is None:
+        raise UsageError(f"--output is required for --op {op}")
+    compute = {
+        "q1": _weyl.condition_q1_sum,
+        "q2": _weyl.q2_diagnostic,
+        "table": _weyl.ext_fourier_table,
+    }[op]
+    emit_report(compute(a, lmax, denom, opt["mode"]), opt["output"])
     return f"op={op} lmax={opt['lmax']} mode={opt['mode']} convention={opt['convention']}"
 
 
@@ -382,6 +359,9 @@ def run(invocation: CliInvocation) -> int:
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0
     print(f"{invocation.subcommand} {summary} wall={wall:.3f}s")

@@ -140,7 +140,6 @@ def _corr_recip(batch: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _chunks(lo: int, hi: int, na: int):
-    width = hi - lo + 1
     step = max(1, _NAIVE_CHUNK_ELEMS // max(na, 1))
     for start in range(lo, hi + 1, step):
         yield start, min(start + step - 1, hi)

@@ -15,8 +15,10 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -493,29 +495,22 @@ def boundary_vanish_check(
 # ---------------------------------------------------------------------------
 # sequence file format
 #
-# JSON document {"dims": [...], "offsets": [...], "values": [[re, im], ...]}
-# with values flattened in row-major order; 1-D sequences use dims of
-# length 1.
+# One compact JSON line {"dims": [...], "offsets": [...], "values":
+# [[re, im], ...]} with values flattened in row-major order; 1-D
+# sequences use dims of length 1.  The bytes equal json.dumps(doc) plus
+# a newline.  Loading rejects non-finite or non-numeric values.
+
+_CHUNK = 1 << 16  # value pairs per json.dumps call when saving
 
 
-def save_sequence(a: CoeffLike, path: str) -> None:
-    """Write a sequence to ``path`` in the JSON interchange format.
-
-    The write is atomic (write to a temp file, then rename).
-    """
-    nd = _as_nd(a)
-    flat = nd.values.reshape(-1)
-    doc = {
-        "dims": list(nd.dims),
-        "offsets": list(nd.offsets),
-        "values": [[float(v.real), float(v.imag)] for v in flat],
-    }
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """Open ``path`` for text writing via a temp file renamed on success."""
     dirname = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=0)
-            fh.write("\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -523,23 +518,49 @@ def save_sequence(a: CoeffLike, path: str) -> None:
         raise
 
 
+def save_sequence(a: CoeffLike, path: str) -> None:
+    """Write a sequence to ``path`` in the JSON interchange format.
+
+    The write is atomic (temp file, then rename) and encodes values a
+    chunk at a time, so memory does not grow with the sequence length.
+    """
+    nd = _as_nd(a)
+    flat = nd.values.reshape(-1)
+    pairs = np.stack([flat.real, flat.imag], axis=1)
+    head = json.dumps({"dims": list(nd.dims), "offsets": list(nd.offsets), "values": []})
+    with atomic_open(path) as fh:
+        fh.write(head[:-2])  # up to and including the values' "["
+        for i in range(0, len(pairs), _CHUNK):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(pairs[i : i + _CHUNK].tolist())[1:-1])
+        fh.write("]}\n")
+
+
 def load_sequence(path: str) -> CoeffLike:
-    """Read a sequence file; returns Coeff1D for dims of length 1, else CoeffND."""
+    """Read a sequence file; returns Coeff1D for dims of length 1, else CoeffND.
+
+    Raises ValueError naming ``path`` if the file is not JSON, is not a
+    sequence document, or holds non-numeric or non-finite values.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        dims = [int(n) for n in doc["dims"]]
-        offsets = [int(o) for o in doc["offsets"]]
-        pairs = doc["values"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed sequence file {path}: {exc}") from exc
-    if len(dims) != len(offsets):
-        raise ValueError(f"{path}: dims and offsets lengths differ")
-    count = int(np.prod(dims)) if dims else 0
-    if len(pairs) != count:
-        raise ValueError(f"{path}: expected {count} values, found {len(pairs)}")
-    vals = np.array(
-        [complex(re, im) for re, im in pairs], dtype=np.complex128
-    ).reshape(dims)
-    nd = CoeffND(tuple(offsets), vals)
+        try:
+            doc = json.load(fh)
+            dims = [int(n) for n in doc["dims"]]
+            offsets = [int(o) for o in doc["offsets"]]
+            found = len(doc["values"])
+            arr = np.asarray(doc["values"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed sequence file {path}: {exc}") from exc
+    if not dims or len(dims) != len(offsets) or min(dims) < 0:
+        raise ValueError(f"{path}: dims must be one nonnegative size per offset")
+    count = math.prod(dims)
+    if found != count:
+        raise ValueError(f"{path}: expected {count} values, found {found}")
+    if arr.dtype.kind not in "iuf" or (count and arr.shape != (count, 2)):
+        raise ValueError(f"{path}: values must be [re, im] pairs of numbers")
+    arr = arr.astype(np.float64, copy=False).reshape(count, 2)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: values must be finite, found NaN or infinity")
+    nd = CoeffND(tuple(offsets), arr.view(np.complex128).reshape(dims))
     return nd.as_coeff1d() if len(dims) == 1 else nd

@@ -76,6 +76,49 @@ def test_missing_input_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "values",
+    ["[[NaN, 0]]", "[[Infinity, 0]]", "[[null, 0]]", '[["a", 0]]', "[[1]]"],
+    ids=["nan", "inf", "null", "non-numeric", "short"],
+)
+def test_bad_input_values_are_usage_errors(tmp_path, capsys, values):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dims": [1], "offsets": [1], "values": %s}\n' % values)
+    code = main(["hilbert", "--input", str(path), "--kind", "even",
+                 "--range", "1:3", "--output", str(tmp_path / "o.json")])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("text", ["not json", '{"dims": [1]'], ids=["text", "truncated"])
+def test_non_json_input_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main(["su2", "--op", "sufficiency", "--input", str(path)])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_directory_input_is_usage_error(tmp_path, capsys):
+    code = main(["su2", "--op", "sufficiency", "--input", str(tmp_path)])
+    assert code == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_unallocatable_range_is_computation_error(tmp_path, impulse_file, capsys):
+    # 2**52 float64 outputs is 32 PiB: refused before any memory is touched
+    code = main(["hilbert", "--input", impulse_file(1), "--kind", "even",
+                 "--range", "1:4503599627370496", "--output", str(tmp_path / "o.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+def test_su2_report_requires_output(impulse_file):
+    assert main(["su2", "--op", "table", "--input", impulse_file(0), "--lmax", "2"]) == 2
+
+
 def test_reexpand_dimension_mismatch(tmp_path, impulse_file):
     # 1-D input with a 2-axis parity string is a usage error
     code = main(["reexpand", "--input", impulse_file(1), "--parity", "10",

@@ -1,5 +1,7 @@
 """Tests for the coefficient-sequence data model and series evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from reexpansion import (
     series_eval,
     weight_apply,
 )
+from reexpansion.sequences import _CHUNK
 
 
 def test_l1_norm_zero_sequence():
@@ -213,6 +216,81 @@ def test_load_rejects_malformed(tmp_path):
     p.write_text('{"dims": [2], "offsets": [0], "values": [[1, 0]]}')
     with pytest.raises(ValueError):
         load_sequence(str(p))
+
+
+def _reference_bytes(dims, offsets, values):
+    """The one-shot ``json.dumps`` layout that ``save_sequence`` streams."""
+    flat = np.asarray(values, dtype=np.complex128).reshape(-1)
+    doc = {"dims": list(dims), "offsets": list(offsets),
+           "values": [[float(v.real), float(v.imag)] for v in flat]}
+    return (json.dumps(doc) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK, _CHUNK + 1])
+def test_save_layout_matches_one_shot_dumps_1d(tmp_path, n):
+    rng = np.random.default_rng(n)
+    a = Coeff1D(-7, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    path = tmp_path / "a.json"
+    save_sequence(a, str(path))
+    assert path.read_bytes() == _reference_bytes([n], [-7], a.values)
+    np.testing.assert_array_equal(load_sequence(str(path)).values, a.values)
+
+
+def test_save_layout_matches_one_shot_dumps_2d(tmp_path):
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    vals[0, 0] = -0.0 + 1e-300j
+    a = CoeffND((2, -1), vals)
+    path = tmp_path / "a2.json"
+    save_sequence(a, str(path))
+    assert path.read_bytes() == _reference_bytes([5, 3], [2, -1], vals)
+    assert path.read_bytes().count(b"\n") == 1
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        "[[1, 0], [NaN, 0]]",
+        "[[1, 0], [0, Infinity]]",
+        "[[1, 0], [-Infinity, 0]]",
+        "[[1, 0], [null, 0]]",
+        '[[1, 0], ["a", 0]]',
+        '[[1, 0], ["1.5", 0]]',
+        "[[1, 0], [1]]",
+        "[[1], [2]]",
+        "[[1, 0], [1, 2, 3]]",
+        "[[[1, 0]], [[2, 0]]]",
+    ],
+    ids=["nan", "inf", "neg-inf", "null", "string", "numeric-string", "short",
+         "all-short", "long", "nested"],
+)
+def test_load_rejects_bad_values_naming_the_file(tmp_path, values):
+    p = tmp_path / "bad.json"
+    p.write_text('{"dims": [2], "offsets": [0], "values": %s}' % values)
+    with pytest.raises(ValueError, match="bad.json"):
+        load_sequence(str(p))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["not json", "", '{"dims": [1], "offsets": [0], "values": [[1, 0]]',
+     '{"dims": [], "offsets": [], "values": []}',
+     '{"dims": [1], "offsets": [0], "values": 5}'],
+    ids=["text", "empty", "truncated", "no-axes", "scalar-values"],
+)
+def test_load_rejects_non_sequence_text_naming_the_file(tmp_path, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    with pytest.raises(ValueError, match="bad.json"):
+        load_sequence(str(p))
+
+
+def test_load_accepts_integer_values(tmp_path):
+    p = tmp_path / "ints.json"
+    p.write_text('{"dims": [2, 1], "offsets": [3, 0], "values": [[1, 0], [0, -2]]}')
+    b = load_sequence(str(p))
+    assert b.offsets == (3, 0)
+    np.testing.assert_array_equal(b.values, [[1.0], [-2.0j]])
 
 
 def test_slice1d_extracts_axis_profiles():
