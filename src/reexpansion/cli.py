@@ -14,6 +14,7 @@ input), 1 on computation errors, out of memory included.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from dataclasses import dataclass
@@ -134,6 +135,21 @@ def _load(path: str):
         raise UsageError(str(exc)) from exc
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError while writing ``path`` into one RuntimeError naming
+    ``path`` (not the temp file the atomic writer uses)."""
+    try:
+        yield
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _save(a, path: str) -> None:
+    with _writing(path):
+        save_sequence(a, path)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -163,11 +179,8 @@ def emit_report(data, path: str) -> None:
             lines.append(f"{two_l},{_fmt(v)}")
     else:
         raise TypeError(f"no CSV writer for {type(data).__name__}")
-    try:
-        with atomic_open(path) as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write report to {path}: {exc}") from exc
+    with _writing(path), atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _require_1d(a, what: str) -> Coeff1D:
@@ -207,7 +220,7 @@ def _run_hilbert(opt) -> str:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out = _hilbert.transform(a, req)
-    save_sequence(out, opt["output"])
+    _save(out, opt["output"])
     return f"kind={opt['kind']} support={len(a.trim())} window={rng[0]}:{rng[1]}"
 
 
@@ -236,11 +249,11 @@ def _run_reexpand(opt) -> str:
         raise UsageError(str(exc)) from exc
     if q.is_zero:
         out = _reexpand.reexpand_nd(nd, spec, opt["algorithm"])
-        save_sequence(out, opt["output"])
+        _save(out, opt["output"])
         extra = ""
     else:
         res = _reexpand.reexpand_weighted(nd, spec, opt["algorithm"])
-        save_sequence(res.raw, opt["output"])
+        _save(res.raw, opt["output"])
         for w in res.warnings:
             print(f"warning: {w}", file=sys.stderr)
         extra = f" sign={res.sign:+.0f} eta_eff={''.join(map(str, res.eta_effective.bits))}"

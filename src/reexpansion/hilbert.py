@@ -1,6 +1,6 @@
 """Discrete Hilbert transform kernels.
 
-Four one-dimensional kernels act on finitely supported sequences:
+Five one-dimensional kernels act on finitely supported sequences:
 
 * ``full``         h a(n)   = sum_{k != n} a_k / (n - k),              n in Z
 * ``even``         h^e a(n) = sum_{k>=1, k!=n} 2n a_k/(n^2-k^2) + a_n/(2n),   n >= 1
@@ -12,15 +12,20 @@ For the restricted kinds an index-0 entry is treated as zero and
 nonzero entries at negative indices are rejected.  The n = 0 self-term
 of the odd kernel is taken as zero (the a_0/0 convention).
 
-Every kernel has two evaluators.  The ``naive`` evaluator follows the
-defining formula term by term and is the reference.  The ``fast``
-evaluator rewrites each kernel as a convolution plus/minus a
-correlation with the reciprocal kernel 1/m (after splitting the input
-by index parity for the halved kinds) and evaluates both by
-zero-padded FFT, restoring self-terms separately:
+Every kernel has two evaluators.  The ``naive`` one is the reference:
+it builds the kernel matrix from the definitions, one quotient per entry
+(2n/(n^2-k^2) and 2k/(k^2-n^2) at odd lags for the halved kinds), with
+the self-terms on its diagonal.  The ``fast`` one writes every kernel
+through the reciprocal-lag sum R a(n) = sum_{k != n} a_k/(n-k) of the
+support and of its reflection b_{-k} = a_k, R b(n) = sum_k a_k/(n+k):
 
-    h^e a(n) = sum_{k != n} a_k/(n-k) + sum_k a_k/(n+k)
-    h^o a(n) = sum_{k != n} a_k/(n-k) - sum_k a_k/(n+k)
+    h = R a,   h^e = R a + R b,   h^o = R a - R b,
+    h^e_- = R a + R b,   h^o_- = R b - R a   (odd lags k - n only),
+
+as 2n/(n^2-k^2) = 1/(n-k) + 1/(n+k) and 2k/(n^2-k^2) = 1/(n-k) - 1/(n+k);
+the k = n term of R b is the a_n/(2n) self-term.  R is a Toeplitz
+product, evaluated by a zero-padded real FFT, for the halved kinds once
+per output parity on the half-length sublattice at odd lag.
 
 Transforms of finitely supported sequences generally have infinite
 support, so the caller always supplies an explicit inclusive output
@@ -29,10 +34,11 @@ window.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .sequences import Coeff1D, CoeffND, ParityVector
 
@@ -56,7 +62,10 @@ ALGORITHMS = ("naive", "fast")
 # lowest admissible output index per kind
 _KIND_FLOOR = {"full": None, "even": 1, "odd": 0, "even_halved": 1, "odd_halved": 0}
 
-_NAIVE_CHUNK_ELEMS = 4_000_000  # cap on kernel-matrix chunk size (complex entries)
+_NAIVE_CHUNK_ELEMS = 4_000_000  # cap on kernel-matrix chunk size (entries)
+
+# halved kind along an axis with parity bit eta_j
+_HALVED = {1: "even_halved", 0: "odd_halved"}
 
 
 @dataclass(frozen=True)
@@ -86,208 +95,93 @@ def _check_range(kind: str, lo: int, hi: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# FFT convolution machinery
+# evaluators; batch shape (rows, support), output shape (rows, window)
 
 
-def _fft_conv(batch: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    """Full linear convolution of each batch row with ``kern``."""
-    n = batch.shape[-1] + kern.shape[-1] - 1
-    size = next_fast_len(n, real=False)
-    fa = fft(batch, size, axis=-1)
-    fk = fft(kern, size)
-    return ifft(fa * fk, axis=-1)[..., :n]
+def _kernel(kind: str, n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Kernel matrix, outputs n by support k, from the definitions above."""
+    n, k = n[:, None], k[None, :]
+    odd_lag = (k - n) % 2 == 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "full":
+            return np.where(n == k, 0.0, 1.0 / (n - k))
+        if kind == "even":
+            return np.where(n == k, 1.0 / (2 * n), 2.0 * n / (n * n - k * k))
+        if kind == "odd":
+            return np.where(n == k, -1.0 / (2 * n), 2.0 * k / (n * n - k * k))
+        if kind == "even_halved":
+            return np.where(odd_lag, 2.0 * n / (n * n - k * k), 0.0)
+        return np.where(odd_lag, 2.0 * k / (k * k - n * n), 0.0)
 
 
-def _conv_recip(batch: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarray:
-    """c(n) = sum_k a_k / (n - k) with the k = n term dropped."""
+def _naive(kind: str, batch: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarray:
+    """Chunked mat-vec with ``_kernel``; complex input as two real products."""
+    out = np.zeros(batch.shape[:-1] + (hi - lo + 1,), dtype=np.complex128)
+    k = offset + np.arange(batch.shape[-1])
+    step = max(1, _NAIVE_CHUNK_ELEMS // max(len(k), 1))
+    for c0 in range(lo, hi + 1, step):
+        c1 = min(c0 + step, hi + 1)
+        kern = _kernel(kind, np.arange(c0, c1), k).T
+        out.real[..., c0 - lo : c1 - lo] = batch.real @ kern
+        out.imag[..., c0 - lo : c1 - lo] = batch.imag @ kern
+    return out
+
+
+def _recip(batch: np.ndarray, offset: int, lo: int, hi: int, step: int) -> np.ndarray:
+    """c(n) = sum_j a_j/(n - k_j), k_j = offset + step*j, n = lo, lo + step, ... <= hi,
+    lag 0 dropped, for real rows ``batch``: one zero-padded real FFT product."""
     na = batch.shape[-1]
-    if na == 0:
-        return np.zeros(batch.shape[:-1] + (hi - lo + 1,), dtype=np.complex128)
-    klo = lo - (offset + na - 1)
-    khi = hi - offset
-    m = np.arange(klo, khi + 1, dtype=float)
+    nout = (hi - lo) // step + 1
     with np.errstate(divide="ignore"):
-        kern = np.where(m == 0, 0.0, 1.0 / np.where(m == 0, 1.0, m))
-    out = _fft_conv(batch, kern)
-    start = na - 1
-    return out[..., start : start + (hi - lo + 1)]
+        kern = 1.0 / ((lo - offset) + step * np.arange(1 - na, nout, dtype=float))
+    kern[np.isinf(kern)] = 0.0
+    size = next_fast_len(na + nout - 1, real=True)
+    out = irfft(rfft(batch, size, axis=-1) * rfft(kern, size), size, axis=-1)
+    return out[..., na - 1 : na - 1 + nout]
 
 
-def _corr_recip(batch: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarray:
-    """c(n) = sum_k a_k / (n + k), the n + k = 0 term taken as zero.
-
-    Every caller keeps genuine n + k = 0 pairs out of play (they are
-    excluded by index floors or by the k - n parity restriction); the
-    zeroed entry only pads positions that are discarded afterwards.
-    """
-    na = batch.shape[-1]
-    if na == 0:
-        return np.zeros(batch.shape[:-1] + (hi - lo + 1,), dtype=np.complex128)
-    rev = batch[..., ::-1]
-    rev_offset = -(offset + na - 1)
-    klo = lo - (rev_offset + na - 1)
-    khi = hi - rev_offset
-    m = np.arange(klo, khi + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        kern = np.where(m == 0, 0.0, 1.0 / np.where(m == 0, 1.0, m))
-    out = _fft_conv(rev, kern)
-    start = na - 1
-    return out[..., start : start + (hi - lo + 1)]
-
-
-# ---------------------------------------------------------------------------
-# naive (defining-formula) evaluators; batch shape (rows, support)
-
-
-def _chunks(lo: int, hi: int, na: int):
-    step = max(1, _NAIVE_CHUNK_ELEMS // max(na, 1))
-    for start in range(lo, hi + 1, step):
-        yield start, min(start + step - 1, hi)
-
-
-def _naive_full(batch, offset, lo, hi):
-    na = batch.shape[-1]
-    out = np.zeros(batch.shape[:-1] + (hi - lo + 1,), dtype=np.complex128)
-    if na == 0:
-        return out
-    k = offset + np.arange(na)
-    for c0, c1 in _chunks(lo, hi, na):
-        n = np.arange(c0, c1 + 1)
-        diff = n[:, None] - k[None, :]
-        mask = diff != 0
-        kern = np.where(mask, 1.0 / np.where(mask, diff, 1), 0.0)
-        out[..., c0 - lo : c1 - lo + 1] = batch @ kern.T
-    return out
-
-
-def _naive_even(batch, offset, lo, hi):
-    na = batch.shape[-1]
-    out = np.zeros(batch.shape[:-1] + (hi - lo + 1,), dtype=np.complex128)
-    if na == 0:
-        return out
-    k = offset + np.arange(na)
-    for c0, c1 in _chunks(lo, hi, na):
-        n = np.arange(c0, c1 + 1)
-        den = n[:, None] ** 2 - (k**2)[None, :]
-        mask = den != 0
-        kern = np.where(mask, 2.0 * n[:, None] / np.where(mask, den, 1), 0.0)
-        out[..., c0 - lo : c1 - lo + 1] = batch @ kern.T
-    _add_self_terms(out, batch, offset, lo, hi, sign=+1.0)
-    return out
-
-
-def _naive_odd(batch, offset, lo, hi):
-    na = batch.shape[-1]
-    out = np.zeros(batch.shape[:-1] + (hi - lo + 1,), dtype=np.complex128)
-    if na == 0:
-        return out
-    k = offset + np.arange(na)
-    for c0, c1 in _chunks(lo, hi, na):
-        n = np.arange(c0, c1 + 1)
-        den = n[:, None] ** 2 - (k**2)[None, :]
-        mask = den != 0
-        kern = np.where(mask, 2.0 * k[None, :] / np.where(mask, den, 1), 0.0)
-        out[..., c0 - lo : c1 - lo + 1] = batch @ kern.T
-    _add_self_terms(out, batch, offset, lo, hi, sign=-1.0)
-    return out
-
-
-def _add_self_terms(out, batch, offset, lo, hi, sign):
-    """In-place a_n/(2n) self-terms over the window/support overlap (n >= 1)."""
-    na = batch.shape[-1]
-    n0 = max(lo, offset, 1)
-    n1 = min(hi, offset + na - 1)
-    if n0 > n1:
-        return
-    n = np.arange(n0, n1 + 1)
-    out[..., n0 - lo : n1 - lo + 1] += sign * batch[..., n0 - offset : n1 - offset + 1] / (
-        2.0 * n
-    )
-
-
-def _halved_kern(n, k, parity_bit):
-    """Masked halved-kernel matrix over output n (rows) and support k (cols)."""
-    odd = (n[:, None] - k[None, :]) % 2 == 1
-    s = n[:, None] + k[None, :]
-    d = n[:, None] - k[None, :]
-    with np.errstate(divide="ignore"):
-        term_s = np.where(odd, 1.0 / np.where(s == 0, 1, s), 0.0)
-        term_d = np.where(odd, 1.0 / np.where(d == 0, 1, d), 0.0)
-    return term_s + term_d if parity_bit == 1 else term_s - term_d
-
-
-def _naive_halved(batch, offset, lo, hi, parity_bit):
-    na = batch.shape[-1]
-    out = np.zeros(batch.shape[:-1] + (hi - lo + 1,), dtype=np.complex128)
-    if na == 0:
-        return out
-    k = offset + np.arange(na)
-    for c0, c1 in _chunks(lo, hi, na):
-        n = np.arange(c0, c1 + 1)
-        kern = _halved_kern(n, k, parity_bit)
-        out[..., c0 - lo : c1 - lo + 1] = batch @ kern.T
-    return out
-
-
-# ---------------------------------------------------------------------------
-# fast evaluators
-
-
-def _fast_full(batch, offset, lo, hi):
-    return _conv_recip(batch, offset, lo, hi)
-
-
-def _fast_even(batch, offset, lo, hi):
-    # self-term a_n/(2n) is the k = n term of the correlation
-    return _conv_recip(batch, offset, lo, hi) + _corr_recip(batch, offset, lo, hi)
-
-
-def _fast_odd(batch, offset, lo, hi):
-    return _conv_recip(batch, offset, lo, hi) - _corr_recip(batch, offset, lo, hi)
-
-
-def _parity_split(batch, offset):
-    """Zero out entries of one index parity; returns (even_part, odd_part)."""
-    na = batch.shape[-1]
-    k = offset + np.arange(na)
-    even = np.where((k % 2 == 0)[None, :], batch, 0.0)
-    odd = np.where((k % 2 == 1)[None, :], batch, 0.0)
-    return even, odd
-
-
-def _fast_halved(batch, offset, lo, hi, parity_bit):
-    even_part, odd_part = _parity_split(batch, offset)
-    out = np.zeros(batch.shape[:-1] + (hi - lo + 1,), dtype=np.complex128)
-    n = np.arange(lo, hi + 1)
-    for part, sel in ((odd_part, n % 2 == 0), (even_part, n % 2 == 1)):
-        if not np.any(sel) or not np.any(part):
-            continue
-        conv = _conv_recip(part, offset, lo, hi)
-        corr = _corr_recip(part, offset, lo, hi)
-        res = corr + conv if parity_bit == 1 else corr - conv
-        out[..., sel] = res[..., sel]
-    return out
-
-
-# Note on signs: for parity 1 the kernel is 1/(n+k) + 1/(n-k) (corr + conv),
-# for parity 0 it is 1/(n+k) + 1/(k-n) = corr - conv.
-
-
-_BATCH_EVAL = {
-    ("full", "naive"): _naive_full,
-    ("full", "fast"): _fast_full,
-    ("even", "naive"): _naive_even,
-    ("even", "fast"): _fast_even,
-    ("odd", "naive"): _naive_odd,
-    ("odd", "fast"): _fast_odd,
-    ("even_halved", "naive"): lambda b, o, lo, hi: _naive_halved(b, o, lo, hi, 1),
-    ("even_halved", "fast"): lambda b, o, lo, hi: _fast_halved(b, o, lo, hi, 1),
-    ("odd_halved", "naive"): lambda b, o, lo, hi: _naive_halved(b, o, lo, hi, 0),
-    ("odd_halved", "fast"): lambda b, o, lo, hi: _fast_halved(b, o, lo, hi, 0),
+# kind -> (sign of R a, sign of R b, lattice step), as in the module docstring
+_SPLIT = {
+    "full": (1.0, 0.0, 1),
+    "even": (1.0, 1.0, 1),
+    "odd": (1.0, -1.0, 1),
+    "even_halved": (1.0, 1.0, 2),
+    "odd_halved": (-1.0, 1.0, 2),
 }
 
 
-def _prepare_restricted(a: Coeff1D, kind: str, keep_zero: bool = False) -> Coeff1D:
+def _fast(kind: str, batch: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarray:
+    """R a and R b per output class n0 (one class, or two parities at step 2)."""
+    direct, reflected, step = _SPLIT[kind]
+    rows = batch.shape[0]
+    x = batch.real
+    if np.any(batch.imag):  # real input skips the all-zero imaginary rows
+        x = np.concatenate([x, batch.imag])
+    # support above the window: R a and R b of the even kinds nearly cancel,
+    # 1/(n-k) + 1/(n+k) = (n/k) (1/(n-k) - 1/(n+k)) adds them instead
+    far = kind in ("even", "even_halved") and offset > hi
+    if far:
+        x, reflected = x / (offset + np.arange(x.shape[-1])), -reflected
+    out = np.zeros((len(x), hi - lo + 1))
+    for n0 in range(lo, min(lo + step, hi + 1)):
+        k0 = offset + (n0 + step - 1 - offset) % step  # first k at a kept lag
+        sub = x[:, k0 - offset :: step]
+        if sub.shape[-1] == 0:
+            continue
+        res = direct * _recip(sub, k0, n0, hi, step)
+        if reflected:
+            k1 = k0 + step * (sub.shape[-1] - 1)
+            res += reflected * _recip(sub[:, ::-1], -k1, n0, hi, step)
+        out[:, n0 - lo :: step] = res
+    if far:
+        out *= np.arange(lo, hi + 1)
+    return out[:rows] + 1j * out[rows:] if len(x) > rows else out
+
+
+_BATCH_EVAL = {"naive": _naive, "fast": _fast}
+
+
+def _prepare_restricted(a: Coeff1D, kind: str) -> Coeff1D:
     """Trim, reject negative support, and apply the a_0 = 0 convention."""
     a = a.trim()
     if len(a) == 0:
@@ -297,7 +191,7 @@ def _prepare_restricted(a: Coeff1D, kind: str, keep_zero: bool = False) -> Coeff
         raise ValueError(
             f"kind {kind!r} takes one-sided input (nonzero entry at index {lo})"
         )
-    if lo == 0 and not keep_zero:
+    if lo == 0:
         a = Coeff1D(1, a.values[1:]).trim()
     return a
 
@@ -306,12 +200,8 @@ def _run_1d(a: Coeff1D, kind: str, lo: int, hi: int, algorithm: str) -> Coeff1D:
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     _check_range(kind, lo, hi)
-    if kind != "full":
-        a = _prepare_restricted(a, kind)
-    else:
-        a = a.trim()
-    batch = a.values[None, :]
-    out = _BATCH_EVAL[(kind, algorithm)](batch, a.offset, lo, hi)
+    a = a.trim() if kind == "full" else _prepare_restricted(a, kind)
+    out = _BATCH_EVAL[algorithm](kind, a.values[None, :], a.offset, lo, hi)
     return Coeff1D(lo, out[0])
 
 
@@ -410,29 +300,15 @@ def _prepare_nd_positive(a: CoeffND, keep_zero: bool = False) -> CoeffND:
 def _mixed_fast(nd: CoeffND, eta: ParityVector, box) -> CoeffND:
     out = nd
     for ax in range(nd.ndim):
-        lo, hi = box[ax]
-        bit = eta[ax]
-        fn = (
-            (lambda b, o, l, h: _fast_halved(b, o, l, h, 1))
-            if bit == 1
-            else (lambda b, o, l, h: _fast_halved(b, o, l, h, 0))
-        )
-        out = _apply_axis(out, ax, fn, lo, hi)
+        out = _apply_axis(out, ax, functools.partial(_fast, _HALVED[eta[ax]]), *box[ax])
     return out
 
 
 def _mixed_naive(nd: CoeffND, eta: ParityVector, box) -> CoeffND:
-    shape = tuple(hi - lo + 1 for lo, hi in box)
-    out = np.zeros(shape, dtype=np.complex128)
-    if nd.values.size:
-        ks = [nd.axis_indices(ax) for ax in range(nd.ndim)]
-        for idx in np.ndindex(*shape):
-            m = [box[ax][0] + idx[ax] for ax in range(nd.ndim)]
-            acc = nd.values
-            for ax in range(nd.ndim):
-                vec = _halved_kern(np.array([m[ax]]), ks[ax], eta[ax])[0]
-                acc = np.tensordot(acc, vec, axes=([0], [0]))
-            out[idx] = acc
+    out = nd.values
+    for ax, (lo, hi) in enumerate(box):
+        kern = _kernel(_HALVED[eta[ax]], np.arange(lo, hi + 1), nd.axis_indices(ax))
+        out = np.tensordot(out, kern, axes=([0], [1]))  # window axis goes last
     return CoeffND(tuple(lo for lo, _ in box), out)
 
 
@@ -509,8 +385,7 @@ def dht_tensor(
         lo, hi = box[ax]
         _check_range(kind, lo, hi)
         nd = _drop_nonpositive_axis(nd, ax, kind)
-        fn = _BATCH_EVAL[(kind, algorithm)]
-        nd = _apply_axis(nd, ax, fn, lo, hi)
+        nd = _apply_axis(nd, ax, functools.partial(_BATCH_EVAL[algorithm], kind), lo, hi)
     return nd
 
 

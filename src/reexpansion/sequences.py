@@ -498,7 +498,8 @@ def boundary_vanish_check(
 # One compact JSON line {"dims": [...], "offsets": [...], "values":
 # [[re, im], ...]} with values flattened in row-major order; 1-D
 # sequences use dims of length 1.  The bytes equal json.dumps(doc) plus
-# a newline.  Loading rejects non-finite or non-numeric values.
+# a newline.  Saving rejects non-finite values; loading rejects
+# non-finite or non-numeric ones.
 
 _CHUNK = 1 << 16  # value pairs per json.dumps call when saving
 
@@ -523,10 +524,14 @@ def save_sequence(a: CoeffLike, path: str) -> None:
 
     The write is atomic (temp file, then rename) and encodes values a
     chunk at a time, so memory does not grow with the sequence length.
+    Raises ValueError naming ``path``, before writing, if a value is not
+    finite, since ``load_sequence`` refuses such files.
     """
     nd = _as_nd(a)
     flat = nd.values.reshape(-1)
     pairs = np.stack([flat.real, flat.imag], axis=1)
+    if not np.isfinite(pairs).all():
+        raise ValueError(f"{path}: values must be finite, found NaN or infinity")
     head = json.dumps({"dims": list(nd.dims), "offsets": list(nd.offsets), "values": []})
     with atomic_open(path) as fh:
         fh.write(head[:-2])  # up to and including the values' "["

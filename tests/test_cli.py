@@ -261,6 +261,19 @@ def test_computation_error_exit_code(tmp_path, impulse_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--kind", "even", "--range", "1:3"],
+    ["reexpand", "--parity", "1", "--box", "1:4"],
+    ["su2", "--op", "q1", "--lmax", "1"],
+], ids=["hilbert", "reexpand", "su2-report"])
+def test_unwritable_output_is_one_error_line(tmp_path, impulse_file, capsys, argv):
+    target = str(tmp_path / "missing-dir" / "o.json")
+    code = main(argv + ["--input", impulse_file(1), "--output", target])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_sequence_roundtrip_bitexact(tmp_path):
     rng = np.random.default_rng(77)
     a = Coeff1D(-5, rng.standard_normal(12) + 1j * rng.standard_normal(12))

@@ -172,17 +172,79 @@ def test_parity_decoupling_exact(op, lo):
         assert np.all(out.values[same_parity] == 0.0)
 
 
-@pytest.mark.parametrize("kind,lo", [("full", -256), ("even", 1), ("odd", 0),
-                                     ("even_halved", 1), ("odd_halved", 0)])
-def test_fast_matches_naive_random(kind, lo):
+# name -> (support offset, support size, window start above the floor,
+# complex input); the halved kinds pick their sublattices from the
+# parities of the offset and of the window start
+FAST_NAIVE_CASES = {
+    "": (1, 128, 0, True),
+    "offset2": (2, 128, 0, True),
+    "above-floor": (1, 128, 1, True),
+    "sparse-far": (10**6, 16, 0, True),
+    "real": (1, 128, 0, False),
+}
+
+
+@pytest.mark.parametrize("kind,lo,offset,size,shift,complex_input", [
+    pytest.param(kind, lo, *case, id=f"{kind}-{lo}" + (f"-{name}" if name else ""))
+    for kind, lo in (("full", -256), ("even", 1), ("odd", 0), ("even_halved", 1), ("odd_halved", 0))
+    for name, case in FAST_NAIVE_CASES.items()
+])
+def test_fast_matches_naive_random(kind, lo, offset, size, shift, complex_input):
     rng = np.random.default_rng(31)
-    a = Coeff1D(1, rng.standard_normal(128) + 1j * rng.standard_normal(128))
+    values = rng.standard_normal(size)
+    if complex_input:
+        values = values + 1j * rng.standard_normal(size)
+    a = Coeff1D(offset, values)
     from reexpansion.hilbert import _run_1d
 
-    naive = _run_1d(a, kind, lo, 256, "naive")
-    fast = _run_1d(a, kind, lo, 256, "fast")
+    naive = _run_1d(a, kind, lo + shift, 256, "naive")
+    fast = _run_1d(a, kind, lo + shift, 256, "fast")
     scale = np.max(np.abs(naive.values))
     assert np.max(np.abs(naive.values - fast.values)) <= 1e-12 * scale
+
+
+# The invariants below need no quadratic reference, so they check the
+# fast path at the largest advertised size.
+LARGE_N = 1 << 20
+
+
+def test_full_antisymmetry_large():
+    # <h a, b> = -<a, h b> exactly when both supports lie in the window
+    rng = np.random.default_rng(41)
+    a, b = rng.standard_normal(LARGE_N), rng.standard_normal(LARGE_N)
+    ha = dht_full(Coeff1D(1, a), (1, LARGE_N)).values
+    hb = dht_full(Coeff1D(1, b), (1, LARGE_N)).values
+    scale = np.linalg.norm(ha) * np.linalg.norm(b) + np.linalg.norm(a) * np.linalg.norm(hb)
+    assert abs(np.dot(ha, b) + np.dot(a, hb)) <= 1e-12 * scale
+
+
+def test_hilbert_inequality_large():
+    # ||h a||_2 <= pi ||a||_2 (Montgomery & Vaughan 1974); a low-frequency
+    # input comes within about 1e-4 of the bound, so there is little slack
+    k = np.arange(LARGE_N)
+    a = np.sin(np.pi * k / LARGE_N) ** 2 * np.cos(2 * np.pi * 64 * k / LARGE_N)
+    ha = dht_full(Coeff1D(1, a), (1 - LARGE_N, 2 * LARGE_N)).values
+    ratio = np.linalg.norm(ha) / (np.pi * np.linalg.norm(a))
+    assert 0.999 <= ratio <= 1.0
+
+
+def test_halved_kinds_are_masked_full_transforms_large():
+    # for outputs n of parity p, with m the input kept at parity 1 - p and
+    # r its reflection r_{-k} = m_k: h^e_- a = h m + h r, h^o_- a = h r - h m
+    rng = np.random.default_rng(43)
+    a = Coeff1D(1, rng.standard_normal(LARGE_N))
+    window = (1, LARGE_N)
+    even = dht_even_halved(a, window).values
+    odd = dht_odd_halved(a, window).values
+    n = np.arange(1, LARGE_N + 1)
+    for p in (0, 1):
+        m = np.where(a.indices() % 2 == 1 - p, a.values, 0.0)
+        hm = dht_full(Coeff1D(1, m), window).values
+        hr = dht_full(Coeff1D(-LARGE_N, m[::-1]), window).values
+        sel = n % 2 == p
+        for got, want in ((even, hm + hr), (odd, hr - hm)):
+            scale = np.max(np.abs(want[sel]))
+            assert np.max(np.abs(got[sel] - want[sel])) <= 1e-12 * scale
 
 
 def test_halved_vs_full_norm_equivalence_sampled():

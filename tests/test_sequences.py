@@ -285,6 +285,20 @@ def test_load_rejects_non_sequence_text_naming_the_file(tmp_path, text):
         load_sequence(str(p))
 
 
+@pytest.mark.parametrize("value", [2.5, 1e308, np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_save_never_writes_a_file_load_refuses(tmp_path, value):
+    path = str(tmp_path / "a.json")
+    a = Coeff1D(0, [1.0, value])
+    if np.isfinite(a.values).all():
+        save_sequence(a, path)
+        np.testing.assert_array_equal(load_sequence(path).values, a.values)
+    else:
+        with pytest.raises(ValueError, match="finite") as info:
+            save_sequence(a, path)
+        assert path in str(info.value)
+        assert not any(tmp_path.iterdir())  # no temp file left behind either
+
+
 def test_load_accepts_integer_values(tmp_path):
     p = tmp_path / "ints.json"
     p.write_text('{"dims": [2, 1], "offsets": [3, 0], "values": [[1, 0], [0, -2]]}')
