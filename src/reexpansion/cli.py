@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -120,6 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv: list[str]) -> CliInvocation:
     """Parse and validate argv into an invocation (raises UsageError)."""
+    argv = list(argv)
+    # argparse takes "-4:4" for a flag: read "--range -4:4" as "--range=-4:4"
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in ("--range", "--box") and re.match(r"-\d", argv[i + 1]):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

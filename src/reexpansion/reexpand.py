@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import hilbert
 from .hilbert import KINDS, dht_even_halved, dht_odd_halved
@@ -46,6 +45,7 @@ from .sequences import (
     WeightExponent,
     _as_nd,
     boundary_vanish_check,
+    gauss_legendre_grid,
     l1_norm,
     log_weighted_sum,
     weight_apply,
@@ -72,7 +72,6 @@ TWO_OVER_PI = 2.0 / np.pi
 CONVERGING_RATIO = 0.75
 DIVERGING_RATIO = 0.85
 
-GL_NODES = 16  # Gauss-Legendre nodes per quadrature panel
 PANELS_PER_UNIT = 4  # panels = 4 * (max frequency + |m| + 1) per axis
 
 
@@ -276,17 +275,6 @@ def reexpand_weighted(a, spec: ReexpandSpec, algorithm: str = "fast") -> Weighte
 # quadrature oracle
 
 
-def _panel_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [0, pi]."""
-    x, w = leggauss(GL_NODES)
-    edges = np.linspace(0.0, np.pi, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return pts, wts
-
-
 def _axis_integrals(
     k: np.ndarray,
     ms: np.ndarray,
@@ -299,7 +287,7 @@ def _axis_integrals(
     Source: cos(k t + q pi/2) if eta_bit else sin(k t + q pi/2);
     target: sin(m t + q pi/2) if eta_bit else cos(m t + q pi/2).
     """
-    t, w = _panel_grid(panels)
+    t, w = gauss_legendre_grid(0.0, np.pi, panels)
     phase = q * np.pi / 2.0
     src_arg = np.outer(k, t) + phase
     tgt_arg = np.outer(ms, t) + phase

@@ -6,7 +6,8 @@ analogue, a dense complex block with one integer offset per axis).
 Everything outside the stored block is implicitly zero.  On top of the
 data model this module provides the weighting map ``a_k -> k^q a_k``,
 the log-weighted sufficiency sums, direct evaluation of the associated
-sine/cosine series, and boundary (face) vanishing diagnostics.
+sine/cosine series, boundary (face) vanishing diagnostics, and the
+composite Gauss-Legendre grid that the quadrature oracles share.
 
 Values are always complex double precision; indices are plain Python
 ints.  Instances are treated as immutable after construction and are
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "Coeff1D",
@@ -372,6 +374,18 @@ def log_weighted_sum(a: CoeffLike, q: WeightExponent) -> float:
         shape[ax] = -1
         acc = acc * w.reshape(shape)
     return float(np.sum(acc))
+
+
+GL_NODES = 16  # Gauss-Legendre nodes per quadrature panel
+
+
+def gauss_legendre_grid(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes/weights on [lo, hi], GL_NODES per panel."""
+    x, w = leggauss(GL_NODES)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def _basis_matrix(k: np.ndarray, t: np.ndarray, parity: int, q: int) -> np.ndarray:

@@ -13,6 +13,13 @@ conventions: ``nonnegative`` expands prod (2 - 2 cos(alpha, t)) (the
 density that enters the Weyl integral formula) and ``paper_signed``
 expands prod (e^{i(alpha,t)} + e^{-i(alpha,t)} - 2), which differs by
 (-1)^{#roots}.
+
+Every SU(2) sum is read from two objects.  The inner sequence
+g(mu) = (1/|W|) sum_nu D(nu) a[mu + nu] of a rank-1 table D is one
+convolution of a dense window of a with D (D is symmetric), and the
+paper-mode diagonal at highest weight l is g at the weights of l.
+Against |Delta|^2 the character coefficient telescopes to
+c_l = (a_{2l} + a_{-2l} - a_{2l+2} - a_{-2l-2}) / (2 (2l + 1)).
 """
 
 from __future__ import annotations
@@ -23,10 +30,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .hilbert import dht_full
-from .sequences import Coeff1D
+from .sequences import Coeff1D, gauss_legendre_grid
 
 __all__ = [
     "RootSystem",
@@ -214,18 +220,47 @@ def su2_character(l, t):
     return float(out[0]) if scalar else out
 
 
-_SU2_DENOM = {"nonnegative": None, "paper_signed": None}
-
-
-def _su2_denom(convention: str = "nonnegative") -> WeylDenomSq:
-    if _SU2_DENOM[convention] is None:
-        _SU2_DENOM[convention] = weyl_denom_sq_coeffs(RootSystem.su2(), convention)
-    return _SU2_DENOM[convention]
-
-
 def _require_rank1(denom: WeylDenomSq) -> None:
     if denom.rank != 1:
         raise ValueError("SU(2) operations need a rank-1 denominator table")
+
+
+def _window(a: Coeff1D, bound: int) -> np.ndarray:
+    """a on -bound..bound as a dense array (zero outside the support)."""
+    out = np.zeros(2 * bound + 1, dtype=np.complex128)
+    lo, hi = max(a.offset, -bound), min(a.offset + len(a), bound + 1)
+    if lo < hi:
+        out[lo + bound : hi + bound] = a.values[lo - a.offset : hi - a.offset]
+    return out
+
+
+def _inner(a: Coeff1D, denom: WeylDenomSq, bound: int) -> np.ndarray:
+    """g(mu) = (1/|W|) sum_nu D(nu) a[mu + nu] on -bound..bound.
+
+    D is symmetric, so the correlation is the convolution of the window
+    of a widened by the span of D with the dense table.
+    """
+    _require_rank1(denom)
+    span = max(abs(nu) for (nu,) in denom.coeffs)
+    table = np.array([denom.get(nu) for nu in range(-span, span + 1)], dtype=float)
+    return np.convolve(_window(a, bound + span), table, "valid") / _SU2_WEYL_ORDER
+
+
+def _character_coeffs(a: Coeff1D, two_lmax: int) -> np.ndarray:
+    """c_l for every 2l in 0..two_lmax, by the telescoped closed form."""
+    w = _window(a, two_lmax + 2)
+    both = w[two_lmax + 2 :] + w[two_lmax + 2 :: -1]  # a_k + a_{-k}, k = 0..2 lmax + 2
+    return (both[:-2] - both[2:]) / (_SU2_WEYL_ORDER * np.arange(1, two_lmax + 2))
+
+
+def _diagonals(a: Coeff1D, two_lmax: int, denom: WeylDenomSq, mode: str) -> list[np.ndarray]:
+    """Diagonal Fourier data for every 2l in 0..two_lmax, indexed by 2l."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if mode == "character":
+        return [np.full(t + 1, c) for t, c in enumerate(_character_coeffs(a, two_lmax))]
+    g = _inner(a, denom, two_lmax)
+    return [g[two_lmax - t : two_lmax + t + 1 : 2] for t in range(two_lmax + 1)]
 
 
 def diag_fourier_coeff(a: Coeff1D, l, denom: WeylDenomSq, mode: str = "paper") -> np.ndarray:
@@ -236,36 +271,20 @@ def diag_fourier_coeff(a: Coeff1D, l, denom: WeylDenomSq, mode: str = "paper") -
     "character": the true (Schur-scalar) coefficient repeated over the
     diagonal; see :func:`character_coeff`.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    weights = su2_weights(l)
-    if mode == "character":
-        c = character_coeff(a, l)
-        return np.full(len(weights), c, dtype=np.complex128)
-    _require_rank1(denom)
-    vals = np.empty(len(weights), dtype=np.complex128)
-    for i, mu in enumerate(weights):
-        vals[i] = sum(c * a[mu + nu[0]] for nu, c in denom.coeffs.items())
-    return vals / _SU2_WEYL_ORDER
+    two_l = _two_l(l)
+    return _diagonals(a, two_l, denom, mode)[two_l]
 
 
 def character_coeff(a: Coeff1D, l) -> complex:
     """Fourier coefficient of the central extension against the character.
 
-    c_l = (1/d) (1/|W|) (1/2pi) integral of f(t) chi_l(t) |Delta(t)|^2,
-    evaluated exactly through the finite Fourier supports (|Delta|^2 in
-    the nonnegative convention; chi real).
+    c_l = (1/d) (1/|W|) (1/2pi) integral of f(t) chi_l(t) |Delta(t)|^2
+    (|Delta|^2 in the nonnegative convention; chi real), which the
+    finite Fourier supports telescope to
+    (a_{2l} + a_{-2l} - a_{2l+2} - a_{-2l-2}) / (|W| d).
     """
     two_l = _two_l(l)
-    d = two_l + 1
-    denom = _su2_denom("nonnegative")
-    weights = su2_weights(l)
-    total = 0.0 + 0.0j
-    for k, v in zip(a.indices(), a.values):
-        ghat = sum(denom.get(int(k) - mu) for mu in weights)
-        if ghat:
-            total += v * ghat
-    return complex(total / (_SU2_WEYL_ORDER * d))
+    return complex(_character_coeffs(a, two_l)[two_l])
 
 
 def character_coeff_quadrature(a: Coeff1D, l, tol: float = 1e-10) -> complex:
@@ -280,12 +299,7 @@ def character_coeff_quadrature(a: Coeff1D, l, tol: float = 1e-10) -> complex:
     panels = 4 * (kmax + two_l + 3)
 
     def integrate(p):
-        x, w = leggauss(16)
-        edges = np.linspace(-np.pi, np.pi, p + 1)
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wt = (half[:, None] * w[None, :]).ravel()
+        t, wt = gauss_legendre_grid(-np.pi, np.pi, p)
         f = np.zeros_like(t, dtype=np.complex128)
         for k, v in zip(a.indices(), a.values):
             f += v * np.exp(1j * k * t)
@@ -340,11 +354,8 @@ def ext_fourier_table(
     a: Coeff1D, lmax, denom: WeylDenomSq, mode: str = "paper"
 ) -> CentralCoeffTable:
     """Assemble diagonal Fourier data for all highest weights up to lmax."""
-    two_lmax = _two_l(lmax)
-    entries = {}
-    for two_l in range(two_lmax + 1):
-        l = Fraction(two_l, 2)
-        entries[two_l] = (two_l + 1, diag_fourier_coeff(a, l, denom, mode))
+    diagonals = _diagonals(a, _two_l(lmax), denom, mode)
+    entries = {two_l: (two_l + 1, vals) for two_l, vals in enumerate(diagonals)}
     return CentralCoeffTable(entries, mode, denom.convention)
 
 
@@ -356,9 +367,7 @@ def schatten_lp_norm(table: CentralCoeffTable, p: float) -> float:
     """
     if p < 1:
         raise ValueError("Schatten exponent must satisfy p >= 1")
-    total = 0.0
-    for dim, vals in table.entries.values():
-        total += dim * float(np.sum(np.abs(vals) ** p))
+    total = sum(dim * float(np.sum(np.abs(vals) ** p)) for dim, vals in table.entries.values())
     return total ** (1.0 / p)
 
 
@@ -369,14 +378,9 @@ def condition_q1_sum(
 
     One partial sum per l in 0, 1/2, 1, ..., lmax (indexed by 2l).
     """
-    two_lmax = _two_l(lmax)
-    out = []
-    acc = 0.0
-    for two_l in range(two_lmax + 1):
-        vals = diag_fourier_coeff(a, Fraction(two_l, 2), denom, mode)
-        acc += (two_l + 1) * float(np.sum(np.abs(vals)))
-        out.append(acc)
-    return out
+    diagonals = _diagonals(a, _two_l(lmax), denom, mode)
+    terms = [(two_l + 1) * np.sum(np.abs(vals)) for two_l, vals in enumerate(diagonals)]
+    return np.cumsum(terms).tolist()
 
 
 @dataclass(frozen=True)
@@ -412,31 +416,15 @@ def q2_diagnostic(
     two_lmax = _two_l(lmax)
     parity = parity_check(a)
     if parity != "even":
-        warnings.warn(
-            f"q2_diagnostic expects an even sequence, got {parity}", stacklevel=2
-        )
+        warnings.warn(f"q2_diagnostic expects an even sequence, got {parity}", stacklevel=2)
     bound = 2 * two_lmax + 8
-    mu_grid = np.arange(-bound, bound + 1)
-    g_vals = np.array(
-        [
-            sum(c * a[int(mu) + nu[0]] for nu, c in denom.coeffs.items())
-            for mu in mu_grid
-        ],
-        dtype=np.complex128,
-    ) / _SU2_WEYL_ORDER
-    g = Coeff1D(-bound, g_vals)
-    hg = dht_full(g, (-bound, bound))
-
-    hilbert_side = []
-    acc = 0.0
-    for two_l in range(two_lmax + 1):
-        weights = range(-two_l, two_l + 1, 2)
-        acc += (two_l + 1) * sum(abs(hg[mu]) for mu in weights)
-        hilbert_side.append(acc)
+    g = Coeff1D(-bound, _inner(a, denom, bound))
+    hg = np.abs(dht_full(g, (-bound, bound)).values)
+    terms = [(t + 1) * np.sum(hg[bound - t : bound + t + 1 : 2]) for t in range(two_lmax + 1)]
     plain_side = condition_q1_sum(a, lmax, denom, mode)
     return Q2Diagnostic(
         two_l=tuple(range(two_lmax + 1)),
-        hilbert_side=tuple(hilbert_side),
+        hilbert_side=tuple(np.cumsum(terms).tolist()),
         plain_side=tuple(plain_side),
         parity=parity,
     )
@@ -448,14 +436,11 @@ def su2_sufficiency(a: Coeff1D) -> float:
     Entries at even or nonpositive indices do not enter; their total
     l1 mass is reported through a warning when nonzero.
     """
-    total = 0.0
-    ignored = 0.0
-    for k, v in zip(a.indices(), a.values):
-        k = int(k)
-        if k >= 1 and k % 2 == 1:
-            total += k * np.log(k) * abs(v)
-        else:
-            ignored += abs(v)
+    k = a.indices()
+    mag = np.abs(a.values)
+    odd = (k >= 1) & (k % 2 == 1)
+    total = np.sum(k[odd] * np.log(k[odd]) * mag[odd])
+    ignored = np.sum(mag[~odd])
     if ignored > 0:
         warnings.warn(
             f"ignored l1 mass {ignored:.6g} outside the odd positive integers",
@@ -511,13 +496,9 @@ def parity_check(a: Coeff1D, tol: float = 1e-12) -> str:
     t = a.trim()
     if len(t) == 0:
         return "even"
-    lo, hi = t.support
-    span = max(abs(lo), abs(hi))
-    ks = np.arange(0, span + 1)
-    left = np.array([t[int(-k)] for k in ks])
-    right = np.array([t[int(k)] for k in ks])
-    if np.max(np.abs(right - left)) <= tol:
+    w = _window(t, max(abs(x) for x in t.support))
+    if np.max(np.abs(w - w[::-1])) <= tol:
         return "even"
-    if np.max(np.abs(right + left)) <= tol:
+    if np.max(np.abs(w + w[::-1])) <= tol:
         return "odd"
     return "neither"

@@ -253,6 +253,19 @@ def test_determinism_byte_identical(tmp_path, impulse_file):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_negative_window_both_spellings(tmp_path):
+    path = str(tmp_path / "a.json")
+    save_sequence(Coeff1D(-2, [1.0, 2.0, 3.0, 4.0]), path)
+    outs = []
+    for window in (["--range", "-4:4"], ["--range=-4:4"]):
+        outs.append(tmp_path / f"o{len(outs)}.json")
+        argv = ["hilbert", "--input", path, "--kind", "full", "--output", str(outs[-1])]
+        assert main(argv + window) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    box = ["reexpand", "--input", path, "--parity", "1", "--output", "o.json"]
+    assert parse_args(box + ["--box", "-4:4"]) == parse_args(box + ["--box=-4:4"])
+
+
 def test_computation_error_exit_code(tmp_path, impulse_file):
     # unwritable report destination surfaces as a computation error
     target = str(tmp_path / "missing-dir" / "x.csv")

@@ -36,6 +36,7 @@ from reexpansion import (
 SU2 = RootSystem.su2()
 DNN = weyl_denom_sq_coeffs(SU2, "nonnegative")
 DPS = weyl_denom_sq_coeffs(SU2, "paper_signed")
+D_WIDE = weyl_denom_sq_coeffs(RootSystem.make([(2,), (4,)]))  # rank 1, reaches nu = +-6
 E0 = Coeff1D.impulse(0)
 
 
@@ -182,6 +183,26 @@ class TestDiagFourier:
             target = (two_l + 1) * character_coeff(a, l)
             np.testing.assert_allclose(trace, target, atol=1e-12)
 
+    @pytest.mark.parametrize("denom", [DNN, DPS, D_WIDE], ids=["DNN", "DPS", "span-6"])
+    def test_paper_mode_matches_literal_double_loop(self, denom):
+        # complex, not even, odd offset; half-integer lmax
+        rng = np.random.default_rng(71)
+        a = Coeff1D(-5, rng.standard_normal(14) + 1j * rng.standard_normal(14))
+        lmax = Fraction(9, 2)
+        table = ext_fourier_table(a, lmax, denom, "paper")
+        sums = condition_q1_sum(a, lmax, denom, "paper")
+        acc = 0.0
+        for two_l in range(10):
+            want = [
+                0.5 * sum(c * a[mu + nu] for (nu,), c in denom.coeffs.items())
+                for mu in range(-two_l, two_l + 1, 2)
+            ]
+            got = diag_fourier_coeff(a, Fraction(two_l, 2), denom, "paper")
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(table.entries[two_l][1], want, rtol=1e-14, atol=1e-14)
+            acc += (two_l + 1) * sum(abs(v) for v in want)
+            np.testing.assert_allclose(sums[two_l], acc, rtol=1e-13)
+
 
 class TestCharacterCoeff:
     def test_constant_against_trivial(self):
@@ -194,10 +215,24 @@ class TestCharacterCoeff:
     def test_chi1_against_itself(self):
         np.testing.assert_allclose(character_coeff(chi_restriction(1), 1), 1.0 / 3.0)
 
-    def test_quadrature_cross_check(self):
+    @pytest.mark.parametrize(
+        "offset, size, complex_values, two_ls",
+        [
+            (-3, 7, False, range(0, 7)),
+            (-14, 29, False, range(0, 13)),
+            (-5, 11, True, range(0, 9)),
+            (-1, 20, True, range(0, 13)),  # past +(2l+2) only
+            (-7, 15, True, range(1, 13, 2)),
+        ],
+        ids=["real", "2l-to-12", "complex", "one-sided-reach", "half-integer"],
+    )
+    def test_quadrature_cross_check(self, offset, size, complex_values, two_ls):
         rng = np.random.default_rng(27)
-        a = Coeff1D(-3, rng.standard_normal(7))
-        for two_l in range(0, 7):
+        vals = rng.standard_normal(size)
+        if complex_values:
+            vals = vals + 1j * rng.standard_normal(size)
+        a = Coeff1D(offset, vals)
+        for two_l in two_ls:
             l = Fraction(two_l, 2)
             exact = character_coeff(a, l)
             quad = character_coeff_quadrature(a, l)
