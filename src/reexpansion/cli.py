@@ -243,6 +243,10 @@ def _run_reexpand(opt) -> str:
     box = _parse_box(opt["box"])
     if len(box) != nd.ndim:
         raise UsageError(f"--box has {len(box)} axes, input has {nd.ndim}")
+    for ax, (lo, _) in enumerate(box):  # the target parity sets the floor
+        floor = eta[ax] ^ (q[ax] % 2)
+        if lo < floor:
+            raise UsageError(f"axis {ax}: output indices must be >= {floor} for this parity")
     try:
         spec = _reexpand.ReexpandSpec(
             eta=eta,

@@ -44,6 +44,7 @@ from .sequences import (
     ParityVector,
     WeightExponent,
     _as_nd,
+    _basis_matrix,
     boundary_vanish_check,
     gauss_legendre_grid,
     l1_norm,
@@ -245,21 +246,18 @@ def reexpand_weighted(a, spec: ReexpandSpec, algorithm: str = "fast") -> Weighte
     raw = reexpand_nd(weighted, inner, algorithm).scaled(sign)
 
     dew = raw.values.copy()
-    flagged: list[tuple[int, ...]] = []
+    zero = np.zeros(raw.dims, dtype=bool)  # m_j = 0 on an axis with q_j > 0
     for ax in range(raw.ndim):
         if q[ax] == 0:
             continue
-        m = raw.axis_indices(ax).astype(float)
+        m = raw.axis_indices(ax)
         shape = [1] * raw.ndim
         shape[ax] = -1
         with np.errstate(divide="ignore", invalid="ignore"):
-            dew = dew / (m ** q[ax]).reshape(shape)
-    if any(q[ax] > 0 and raw.offsets[ax] == 0 for ax in range(raw.ndim)):
-        for idx in np.ndindex(*raw.dims):
-            full = tuple(raw.offsets[ax] + idx[ax] for ax in range(raw.ndim))
-            if any(full[ax] == 0 and q[ax] > 0 for ax in range(raw.ndim)):
-                flagged.append(full)
-                dew[idx] = np.nan
+            dew = dew / (m.astype(float) ** q[ax]).reshape(shape)
+        zero |= (m == 0).reshape(shape)
+    dew[zero] = np.nan
+    flagged = [tuple(int(i) for i in idx) for idx in np.argwhere(zero) + raw.offsets]
     return WeightedReexpansion(
         raw=raw,
         deweighted=CoeffND(raw.offsets, dew),
@@ -288,11 +286,8 @@ def _axis_integrals(
     target: sin(m t + q pi/2) if eta_bit else cos(m t + q pi/2).
     """
     t, w = gauss_legendre_grid(0.0, np.pi, panels)
-    phase = q * np.pi / 2.0
-    src_arg = np.outer(k, t) + phase
-    tgt_arg = np.outer(ms, t) + phase
-    src = np.cos(src_arg) if eta_bit == 1 else np.sin(src_arg)
-    tgt = np.sin(tgt_arg) if eta_bit == 1 else np.cos(tgt_arg)
+    src = _basis_matrix(k, t, eta_bit, q)
+    tgt = _basis_matrix(ms, t, 1 - eta_bit, q)
     return src @ (w[:, None] * tgt.T)
 
 

@@ -383,6 +383,17 @@ def condition_q1_sum(
     return np.cumsum(terms).tolist()
 
 
+def _partial_sums(x: np.ndarray, center: int, two_lmax: int) -> list[float]:
+    """Cumulative sums of (2l + 1) sum_m x[center + mu_m] over 2l <= two_lmax.
+
+    Level 2l adds the pair mu = +-2l to level 2l - 2: one cumsum per parity class."""
+    level = x[center : center + two_lmax + 1].copy()
+    level[1:] += x[center - two_lmax : center][::-1]
+    level[0::2] = np.cumsum(level[0::2])
+    level[1::2] = np.cumsum(level[1::2])
+    return np.cumsum(np.arange(1, two_lmax + 2) * level).tolist()
+
+
 @dataclass(frozen=True)
 class Q2Diagnostic:
     """Both sides of the even/odd re-expansion summability comparison."""
@@ -420,11 +431,13 @@ def q2_diagnostic(
     bound = 2 * two_lmax + 8
     g = Coeff1D(-bound, _inner(a, denom, bound))
     hg = np.abs(dht_full(g, (-bound, bound)).values)
-    terms = [(t + 1) * np.sum(hg[bound - t : bound + t + 1 : 2]) for t in range(two_lmax + 1)]
-    plain_side = condition_q1_sum(a, lmax, denom, mode)
+    if mode == "paper":  # the paper-mode diagonals are slices of the same g
+        plain_side = _partial_sums(np.abs(g.values), bound, two_lmax)
+    else:
+        plain_side = condition_q1_sum(a, lmax, denom, mode)
     return Q2Diagnostic(
         two_l=tuple(range(two_lmax + 1)),
-        hilbert_side=tuple(np.cumsum(terms).tolist()),
+        hilbert_side=tuple(_partial_sums(hg, bound, two_lmax)),
         plain_side=tuple(plain_side),
         parity=parity,
     )

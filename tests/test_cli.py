@@ -127,6 +127,22 @@ def test_reexpand_dimension_mismatch(tmp_path, impulse_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "parity, weight, axis",  # the target parity eta_j xor (q_j mod 2) sets the floor
+    [("1", None, 0), ("0", "1", 0), ("01", "0,2", 1)],
+)
+def test_reexpand_box_below_parity_floor_is_usage_error(tmp_path, capsys, parity, weight, axis):
+    path = tmp_path / "a.json"
+    save_sequence(CoeffND.impulse((1,) * len(parity)), str(path))
+    args = ["reexpand", "--input", str(path), "--parity", parity,
+            "--box", ",".join(["0:4"] * len(parity)), "--output", str(tmp_path / "o.json")]
+    assert main(args + (["--weight", weight] if weight else [])) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: axis {axis}: output indices must be >= 1 for this parity\n"
+    )
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_reexpand_1d_cosine(tmp_path, impulse_file):
     out = tmp_path / "b.json"
     code = main(["reexpand", "--input", impulse_file(1), "--parity", "1",

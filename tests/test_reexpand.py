@@ -223,6 +223,27 @@ class TestWeighted:
                 res.deweighted[(m,)], res.raw[(m,)] / m, atol=1e-15
             )
 
+    def test_deweighting_flags_3d_match_index_loop(self):
+        # m_j = 0 lies in the box on axes 0 and 1 (both q_j > 0); axis 2 has q_j = 0
+        rng = np.random.default_rng(11)
+        a = CoeffND((1, 1, 1), rng.standard_normal((3, 4, 2)))
+        q = WeightExponent((2, 1, 0))
+        spec = ReexpandSpec(ParityVector((0, 1, 1)), q, ((0, 3), (0, 2), (1, 3)))
+        res = reexpand_weighted(a, spec)
+        raw = res.raw
+        flagged, nan, dew = [], np.zeros(raw.dims, bool), raw.values.copy()
+        for idx in np.ndindex(*raw.dims):  # reference: one output index at a time
+            m = tuple(o + i for o, i in zip(raw.offsets, idx))
+            if any(mj == 0 and qj > 0 for mj, qj in zip(m, q.exponents)):
+                flagged.append(m)
+                nan[idx] = True
+            else:
+                dew[idx] /= np.prod([float(mj) ** qj for mj, qj in zip(m, q.exponents)])
+        assert res.flagged == tuple(flagged)
+        assert len(flagged) == 9 + 12 - 3  # m_0 = 0, m_1 = 0, both
+        np.testing.assert_array_equal(np.isnan(res.deweighted.values), nan)
+        np.testing.assert_allclose(res.deweighted.values[~nan], dew[~nan], rtol=1e-15)
+
     def test_boundary_failure_warns_but_computes(self):
         spec = ReexpandSpec(COS, WeightExponent((1,)), ((0, 6),))
         res = reexpand_weighted(E1, spec)  # cos t has f(0) = 1

@@ -1,6 +1,8 @@
 """Tests for the coefficient-sequence data model and series evaluation."""
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -187,6 +189,61 @@ def test_boundary_check_zero_sequence_passes_all_orders():
     report = boundary_vanish_check(z, ParityVector((1,)), WeightExponent((3,)), tol=1e-12)
     assert report.passed
     assert len(report.checks) == 3 * 2  # three orders, two faces
+
+
+def _probe_reference(nd, eta, q, tol, probes=17):
+    """Face checks by a literal loop: one term at a time, one probe point at a time.
+
+    Each check also carries the largest sum of |term| over its probes, the
+    scale of the rounding error in its max_abs."""
+    grid = np.linspace(0.0, np.pi, probes)
+    entries = [
+        (tuple(o + i for o, i in zip(nd.offsets, idx)), complex(nd.values[idx]))
+        for idx in np.ndindex(*nd.dims)
+    ]
+    checks = []
+    for s in itertools.product(*(range(qj) for qj in q.exponents)):
+        for ax in range(nd.ndim):
+            for face in (0.0, np.pi):
+                worst = size = 0.0
+                for pt in itertools.product(*([face] if i == ax else grid for i in range(nd.ndim))):
+                    total, terms = 0j, 0.0
+                    for k, v in entries:
+                        term = v
+                        for kj, tj, ej, sj in zip(k, pt, eta.bits, s):
+                            arg = kj * tj + sj * math.pi / 2
+                            term *= float(kj) ** sj * (math.cos(arg) if ej else math.sin(arg))
+                        total += term
+                        terms += abs(term)
+                    worst, size = max(worst, abs(total)), max(size, terms)
+                checks.append((s, ax, face, worst, worst <= tol, size))
+    return checks
+
+
+@pytest.mark.parametrize(
+    "offsets, dims, eta, q",
+    [
+        ((0,), (9,), (1,), (3,)),
+        ((-3,), (7,), (0,), (2,)),
+        ((1, -2), (5, 4), (1, 0), (2, 1)),
+        ((-1, 2), (3, 6), (0, 0), (1, 2)),
+        ((1, 0, -1), (3, 4, 2), (1, 0, 1), (2, 0, 1)),
+        ((2, 1, 0), (2, 3, 3), (0, 1, 1), (1, 1, 1)),
+        ((0, 0), (0, 0), (1, 1), (2, 1)),
+    ],
+)
+def test_boundary_check_matches_per_point_loop(offsets, dims, eta, q):
+    rng = np.random.default_rng(sum(dims) + 10 * len(dims))
+    vals = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    nd, eta, q, tol = CoeffND(offsets, vals), ParityVector(eta), WeightExponent(q), 1e-9
+    report = boundary_vanish_check(nd, eta, q, tol)
+    ref = _probe_reference(nd, eta, q, tol)
+    assert [(c.order, c.axis, c.face) for c in report.checks] == [r[:3] for r in ref]
+    for c, (_, _, _, worst, passed, size) in zip(report.checks, ref):
+        assert abs(c.max_abs - worst) <= 1e-13 * max(worst, size)
+        assert c.passed == passed
+    if nd.values.size and report.checks:  # both outcomes occur on random input
+        assert {c.passed for c in report.checks} == {True, False}
 
 
 def test_sequence_file_roundtrip_1d(tmp_path):

@@ -365,6 +365,15 @@ class TestQ2Diagnostic:
         d = q2_diagnostic(chi_restriction(1), 10, DNN, mode="character")
         np.testing.assert_allclose(d.plain_side[2:], [3.0] * 19, atol=1e-13)
 
+    @pytest.mark.parametrize("lmax", [0, 0.5, 7.5, 20])
+    def test_paper_plain_side_is_condition_q1_sum(self, lmax):
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal(41)
+        a = Coeff1D(-20, v + v[::-1])
+        d = q2_diagnostic(a, lmax, DNN)
+        assert isinstance(d.plain_side, tuple) and isinstance(d.hilbert_side, tuple)
+        np.testing.assert_allclose(d.plain_side, condition_q1_sum(a, lmax, DNN), rtol=1e-13)
+
     def test_warns_on_non_even_input(self):
         with pytest.warns(UserWarning):
             q2_diagnostic(Coeff1D.impulse(1), 2, DNN)
