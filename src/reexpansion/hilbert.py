@@ -13,11 +13,25 @@ nonzero entries at negative indices are rejected.  The n = 0 self-term
 of the odd kernel is taken as zero (the a_0/0 convention).
 
 Every kernel has two evaluators.  The ``naive`` one is the reference:
-it builds the kernel matrix from the definitions, one quotient per entry
-(2n/(n^2-k^2) and 2k/(k^2-n^2) at odd lags for the halved kinds), with
-the self-terms on its diagonal.  The ``fast`` one writes every kernel
-through the reciprocal-lag sum R a(n) = sum_{k != n} a_k/(n-k) of the
-support and of its reflection b_{-k} = a_k, R b(n) = sum_k a_k/(n+k):
+a quadratic, FFT-free mat-vec with the kernel matrix built from the
+definitions as strided views of two reciprocal tables, a Toeplitz view
+of 1/(n-k) (lag 0 set to 0, and every even lag for the halved kinds)
+and a Hankel view of 1/(n+k).  ``full`` is the Toeplitz view alone; the
+other kinds are the products
+
+    2n (1/(n-k)) (1/(n+k))  (even kinds),   +-2k (1/(n-k)) (1/(n+k))  (odd),
+
+with the self-terms +-a_n/(2n) added apart.  A product has no
+subtraction, so each entry is correct to a few roundings even for
+support far above the window.  For one sequence (one real row, or two
+for complex input) einsum contracts the views without forming the
+matrix, in O(window + support) memory; larger batches, as in the n-D
+transforms, form it in chunks of at most ``_NAIVE_CHUNK_ELEMS`` entries
+and multiply all rows at once.
+
+The ``fast`` evaluator writes every kernel through the reciprocal-lag
+sum R a(n) = sum_{k != n} a_k/(n-k) of the support and of its
+reflection b_{-k} = a_k, R b(n) = sum_k a_k/(n+k):
 
     h = R a,   h^e = R a + R b,   h^o = R a - R b,
     h^e_- = R a + R b,   h^o_- = R b - R a   (odd lags k - n only),
@@ -38,6 +52,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .sequences import Coeff1D, CoeffND, ParityVector
@@ -62,7 +77,8 @@ ALGORITHMS = ("naive", "fast")
 # lowest admissible output index per kind
 _KIND_FLOOR = {"full": None, "even": 1, "odd": 0, "even_halved": 1, "odd_halved": 0}
 
-_NAIVE_CHUNK_ELEMS = 4_000_000  # cap on kernel-matrix chunk size (entries)
+_NAIVE_VIEW_ROWS = 2  # naive batches up to this many rows never form the matrix
+_NAIVE_CHUNK_ELEMS = 4_000_000  # cap on a formed kernel-matrix chunk (entries)
 
 # halved kind along an axis with parity bit eta_j
 _HALVED = {1: "even_halved", 0: "odd_halved"}
@@ -98,33 +114,56 @@ def _check_range(kind: str, lo: int, hi: int) -> None:
 # evaluators; batch shape (rows, support), output shape (rows, window)
 
 
-def _kernel(kind: str, n: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Kernel matrix, outputs n by support k, from the definitions above."""
-    n, k = n[:, None], k[None, :]
-    odd_lag = (k - n) % 2 == 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "full":
-            return np.where(n == k, 0.0, 1.0 / (n - k))
-        if kind == "even":
-            return np.where(n == k, 1.0 / (2 * n), 2.0 * n / (n * n - k * k))
-        if kind == "odd":
-            return np.where(n == k, -1.0 / (2 * n), 2.0 * k / (n * n - k * k))
-        if kind == "even_halved":
-            return np.where(odd_lag, 2.0 * n / (n * n - k * k), 0.0)
-        return np.where(odd_lag, 2.0 * k / (k * k - n * n), 0.0)
-
-
 def _naive(kind: str, batch: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarray:
-    """Chunked mat-vec with ``_kernel``; complex input as two real products."""
-    out = np.zeros(batch.shape[:-1] + (hi - lo + 1,), dtype=np.complex128)
-    k = offset + np.arange(batch.shape[-1])
-    step = max(1, _NAIVE_CHUNK_ELEMS // max(len(k), 1))
-    for c0 in range(lo, hi + 1, step):
-        c1 = min(c0 + step, hi + 1)
-        kern = _kernel(kind, np.arange(c0, c1), k).T
-        out.real[..., c0 - lo : c1 - lo] = batch.real @ kern
-        out.imag[..., c0 - lo : c1 - lo] = batch.imag @ kern
-    return out
+    """Quadratic mat-vec with the kernel matrix from the definitions above:
+    a Toeplitz view of 1/(n - k) and, but for ``full``, a Hankel view of
+    1/(n + k).  Up to ``_NAIVE_VIEW_ROWS`` rows, einsum's own loop contracts
+    the views and the matrix is never formed; larger batches form it in
+    chunks of at most ``_NAIVE_CHUNK_ELEMS`` entries, once for all rows.
+    The factor 2n and the self-terms act on the output and +-2k on the
+    input; real and imaginary rows go through one real product."""
+    rows = batch.shape[0]
+    x = batch.real
+    if np.any(batch.imag):  # real input skips the all-zero imaginary rows
+        x = np.concatenate([x, batch.imag])
+    out = np.zeros((len(x), hi - lo + 1))
+    if x.shape[-1] == 0:
+        return out
+    k = offset + np.arange(x.shape[-1])
+    lag = np.arange(lo - k[-1], hi - k[0] + 1)
+    with np.errstate(divide="ignore"):
+        recip = 1.0 / lag
+        hank = 1.0 / np.arange(lo + k[0], hi + k[-1] + 1)
+    recip[lag == 0] = 0.0
+    if kind.endswith("halved"):
+        recip[lag % 2 == 0] = 0.0
+    hank[np.isinf(hank)] = 0.0  # n = k = 0: an odd kind's entry there is 0
+    toeplitz = sliding_window_view(recip, len(k))[:, ::-1]
+    hankel = sliding_window_view(hank, len(k))
+    col = {"odd": 2.0 * k, "odd_halved": -2.0 * k}.get(kind, 1.0)  # 2n goes on out
+    if len(x) <= _NAIVE_VIEW_ROWS:
+        if kind == "full":
+            np.einsum("nk,bk->bn", toeplitz, x, out=out, optimize=False)
+        else:
+            np.einsum("nk,nk,bk->bn", toeplitz, hankel, col * x, out=out, optimize=False)
+    else:
+        step = max(1, _NAIVE_CHUNK_ELEMS // len(k))
+        buf = np.empty((min(step, hi - lo + 1), len(k)))
+        for c0 in range(0, hi - lo + 1, step):
+            part = slice(c0, c0 + step)
+            kern = buf[: len(toeplitz[part])]
+            if kind == "full":
+                kern[:] = toeplitz[part]
+            else:
+                np.multiply(toeplitz[part], hankel[part], out=kern)
+                kern *= col
+            out[:, part] = x @ kern.T
+    if kind.startswith("even"):
+        out *= 2.0 * np.arange(lo, hi + 1)
+    if kind in ("even", "odd"):  # self-terms; the n = 0 one of ``odd`` stays 0
+        d = np.arange(max(lo, k[0], 1), min(hi, k[-1]) + 1)
+        out[:, d - lo] += (0.5 if kind == "even" else -0.5) * x[:, d - offset] / d
+    return out[:rows] + 1j * out[rows:] if len(x) > rows else out
 
 
 def _recip(batch: np.ndarray, offset: int, lo: int, hi: int, step: int) -> np.ndarray:
@@ -305,10 +344,12 @@ def _mixed_fast(nd: CoeffND, eta: ParityVector, box) -> CoeffND:
 
 
 def _mixed_naive(nd: CoeffND, eta: ParityVector, box) -> CoeffND:
+    """Reference for the axis sweep: one kernel matrix per axis, tensordot."""
     out = nd.values
     for ax, (lo, hi) in enumerate(box):
-        kern = _kernel(_HALVED[eta[ax]], np.arange(lo, hi + 1), nd.axis_indices(ax))
-        out = np.tensordot(out, kern, axes=([0], [1]))  # window axis goes last
+        size = nd.values.shape[ax]
+        kern = _naive(_HALVED[eta[ax]], np.eye(size), nd.offsets[ax], lo, hi)
+        out = np.tensordot(out, kern, axes=([0], [0]))  # window axis goes last
     return CoeffND(tuple(lo for lo, _ in box), out)
 
 

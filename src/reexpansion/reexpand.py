@@ -41,6 +41,7 @@ from .sequences import (
     BoundaryReport,
     Coeff1D,
     CoeffND,
+    GL_NODES,
     ParityVector,
     WeightExponent,
     _as_nd,
@@ -74,6 +75,7 @@ CONVERGING_RATIO = 0.75
 DIVERGING_RATIO = 0.85
 
 PANELS_PER_UNIT = 4  # panels = 4 * (max frequency + |m| + 1) per axis
+_ORACLE_MAX_BYTES = 10**9  # cap on one axis's basis matrices in the fine pass
 
 
 @dataclass(frozen=True)
@@ -315,7 +317,9 @@ def quadrature_oracle_box(
     panels (16 nodes each, 4*(max frequency + |m| + 1) panels per
     axis).  The whole box is confirmed by one refinement step with
     doubled panels; disagreement beyond ``tol`` raises rather than
-    returning a silent result.
+    returning a silent result.  A box whose fine-pass basis matrices,
+    (support + window) x 16 x 2 panels x 8 bytes on one axis, would pass
+    1 GB is refused with a ``ValueError`` before anything is allocated.
     """
     nd = _as_nd(a).trim()
     d = nd.ndim
@@ -332,6 +336,15 @@ def quadrature_oracle_box(
         kmax = int(np.max(np.abs(nd.axis_indices(ax))))
         mmax = max(abs(box[ax][0]), abs(box[ax][1]))
         panel_counts.append(PANELS_PER_UNIT * (kmax + mmax + 1))
+    need = max(
+        (size + hi - lo + 1) * GL_NODES * 2 * panels * 8
+        for size, (lo, hi), panels in zip(nd.values.shape, box, panel_counts)
+    )
+    if need > _ORACLE_MAX_BYTES:
+        raise ValueError(
+            f"quadrature oracle needs {need / 1e9:.1f} GB of basis matrices "
+            f"(cap {_ORACLE_MAX_BYTES / 1e9:g} GB); use a smaller support or box"
+        )
     coarse = _oracle_values(nd, eta, q, box, panel_counts)
     fine = _oracle_values(nd, eta, q, box, [2 * p for p in panel_counts])
     err = float(np.max(np.abs(coarse - fine)))

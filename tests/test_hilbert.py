@@ -6,6 +6,9 @@ double-loop summation) and are cross-checked here against both
 evaluators.
 """
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -201,6 +204,99 @@ def test_fast_matches_naive_random(kind, lo, offset, size, shift, complex_input)
     fast = _run_1d(a, kind, lo + shift, 256, "fast")
     scale = np.max(np.abs(naive.values))
     assert np.max(np.abs(naive.values - fast.values)) <= 1e-12 * scale
+
+
+def _exact_transform(kind: str, offset: int, values, n: int) -> Fraction:
+    """The kernel definition at output n as an exact sum over real ``values``."""
+    total = Fraction(0)
+    for k, v in enumerate(map(Fraction, values), start=offset):
+        if kind == "full":
+            total += v / (n - k) if k != n else 0
+        elif kind in ("even", "odd"):
+            if k != n:
+                total += v * 2 * (n if kind == "even" else k) / (n * n - k * k)
+            elif n != 0:
+                total += (v if kind == "even" else -v) / (2 * n)
+        elif (k - n) % 2 == 1:
+            total += v * (Fraction(1, n + k) + Fraction(1, n - k if kind == "even_halved" else k - n))
+    return total
+
+
+# (kind, support offset, window); the one-point windows sit at the floor,
+# inside the support and just above it
+EXACT_CASES = [
+    pytest.param(kind, offset, window, id=f"{kind}-{offset}-{window[0]}:{window[1]}")
+    for kind, floor in (("full", -20), ("even", 1), ("odd", 0), ("even_halved", 1), ("odd_halved", 0))
+    for offset in ((-7, 1, 10**6) if kind == "full" else (1, 10**6))
+    for window in ((floor, 40), (floor, floor), (offset + 5, offset + 5),
+                   (offset + 24, offset + 24))
+]
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("kind,offset,window", EXACT_CASES)
+def test_naive_matches_exact_sums(kind, offset, window, complex_input):
+    # Products of reciprocals keep every kernel entry to a few roundings;
+    # a sum of two quotients would lose ~offset/n relative at offset 10^6.
+    from reexpansion.hilbert import _run_1d
+
+    rng = np.random.default_rng(53)
+    values = rng.standard_normal(24)
+    if complex_input:
+        values = values + 1j * rng.standard_normal(24)
+    lo, hi = window
+    out = _run_1d(Coeff1D(offset, values), kind, lo, hi, "naive").values
+    exact = np.array([
+        complex(float(_exact_transform(kind, offset, values.real, n)),
+                float(_exact_transform(kind, offset, values.imag, n)))
+        for n in range(lo, hi + 1)
+    ])
+    assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_naive_path_is_fft_free_and_linear_in_memory(monkeypatch):
+    from reexpansion import hilbert
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the naive path reached the FFT evaluator")
+
+    for name in ("_recip", "rfft", "irfft"):
+        monkeypatch.setattr(hilbert, name, unreachable)
+    rng = np.random.default_rng(59)
+    a = Coeff1D(1, rng.standard_normal(32) + 1j * rng.standard_normal(32))
+    for kind in hilbert.KINDS:
+        floor = hilbert._KIND_FLOOR[kind]
+        hilbert._run_1d(a, kind, -40 if floor is None else floor, 40, "naive")
+    grid = CoeffND((1, 1), rng.standard_normal((6, 6)))
+    dht_mixed(grid, ParityVector((1, 0)), [(1, 12), (0, 12)], "naive")
+
+    # the kernel matrix is never formed: at 2^13 it would take 512 MB
+    n = 1 << 13
+    a = Coeff1D(1, rng.standard_normal(n))
+    for kind in hilbert.KINDS:
+        tracemalloc.start()
+        try:
+            hilbert._run_1d(a, kind, hilbert._KIND_FLOOR[kind] or 1, n, "naive")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * (n + n) * 8, f"{kind}: peak {peak} bytes"
+
+    # many-row batches form the matrix, one chunk of at most
+    # _NAIVE_CHUNK_ELEMS entries at a time (whole, 2^12 x 2^12 is 128 MB)
+    n = 1 << 12
+    batch = rng.standard_normal((hilbert._NAIVE_VIEW_ROWS + 1, n))
+    for kind in hilbert.KINDS:
+        lo = hilbert._KIND_FLOOR[kind] or 1
+        tracemalloc.start()
+        try:
+            out = hilbert._naive(kind, batch, 1, lo, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = [hilbert._naive(kind, row[None, :], 1, lo, n)[0] for row in batch]
+        np.testing.assert_allclose(out, rows, rtol=0, atol=1e-12 * np.max(np.abs(rows)))
+        assert peak <= 2 * hilbert._NAIVE_CHUNK_ELEMS * 8, f"{kind}: peak {peak} bytes"
 
 
 # The invariants below need no quadratic reference, so they check the

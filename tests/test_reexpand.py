@@ -6,6 +6,9 @@ k - n odd, evaluated by hand; every map is also compared against the
 independent Gauss-Legendre oracle.
 """
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,27 @@ class TestSubtractMean:
         oracle = quadrature_oracle_box(modified, COS, Q0, [(1, 12)])
         np.testing.assert_allclose(out.values, oracle.values, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "a,eta,box",
+        [
+            (Coeff1D(0, np.arange(1.0, 7.0)), SIN, ((0, 8),)),
+            (CoeffND((0, 0), np.arange(1.0, 13.0).reshape(3, 4)), ParityVector((1, 0)),
+             ((1, 8), (0, 8))),
+        ],
+        ids=["1d-sine", "2d-sine-axis"],
+    )
+    def test_naive_matches_fast_with_index_zero_kept(self, a, eta, box):
+        # subtract_mean keeps k = 0 on a sine axis, and the window starts
+        # at n = 0 there: the kernel entry at n = k = 0 is zero
+        spec = ReexpandSpec(eta, WeightExponent.zero(len(eta)), box, subtract_mean=True)
+        with np.errstate(all="raise"):
+            naive = reexpand_nd(a, spec, "naive")
+        fast = reexpand_nd(a, spec, "fast")
+        assert np.all(np.isfinite(naive.values))
+        np.testing.assert_allclose(
+            naive.values, fast.values, atol=1e-12 * np.max(np.abs(fast.values))
+        )
+
     def test_2d_vanishes_on_cosine_faces(self):
         from reexpansion.reexpand import _subtract_face_means
         from reexpansion.sequences import series_eval
@@ -169,6 +193,20 @@ class TestQuadratureOracle:
     def test_unreachable_tolerance_fails_loudly(self):
         with pytest.raises(RuntimeError):
             quadrature_oracle(E1, COS, Q0, 2, tol=0.0)
+
+    def test_oversized_box_is_refused_before_allocating(self):
+        # 4096 -> 4096 would need (4096 + 4096) x 16 x 2 x 32,772 x 8 bytes
+        a = Coeff1D(1, np.ones(4096))
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"needs 68\.7 GB"):
+                quadrature_oracle_box(a, COS, Q0, [(1, 4096)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 0.5
+        assert peak < 10**6
 
 
 class TestWeighted:
