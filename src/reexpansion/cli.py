@@ -8,7 +8,8 @@ identical invocations produce byte-identical artifacts.
 
 Exit status: 0 on success, 2 on usage errors (bad flags, malformed
 values or input files, dimension mismatches against the loaded
-input), 1 on computation errors, out of memory included.
+input, any input the library refuses with a ``ValueError``), 1 on
+computation errors, out of memory included.
 """
 
 from __future__ import annotations
@@ -223,9 +224,9 @@ def _run_hilbert(opt) -> str:
     rng = _parse_range(opt["range"])
     try:
         req = _hilbert.TransformRequest(opt["kind"], rng, opt["algorithm"])
+        out = _hilbert.transform(a, req)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out = _hilbert.transform(a, req)
     _save(out, opt["output"])
     return f"kind={opt['kind']} support={len(a.trim())} window={rng[0]}:{rng[1]}"
 
@@ -243,10 +244,6 @@ def _run_reexpand(opt) -> str:
     box = _parse_box(opt["box"])
     if len(box) != nd.ndim:
         raise UsageError(f"--box has {len(box)} axes, input has {nd.ndim}")
-    for ax, (lo, _) in enumerate(box):  # the target parity sets the floor
-        floor = eta[ax] ^ (q[ax] % 2)
-        if lo < floor:
-            raise UsageError(f"axis {ax}: output indices must be >= {floor} for this parity")
     try:
         spec = _reexpand.ReexpandSpec(
             eta=eta,
@@ -255,15 +252,13 @@ def _run_reexpand(opt) -> str:
             subtract_mean=opt["subtract_mean"],
             boundary_tol=opt["boundary_tol"],
         )
+        res = None if q.is_zero else _reexpand.reexpand_weighted(nd, spec, opt["algorithm"])
+        out = _reexpand.reexpand_nd(nd, spec, opt["algorithm"]) if res is None else res.raw
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if q.is_zero:
-        out = _reexpand.reexpand_nd(nd, spec, opt["algorithm"])
-        _save(out, opt["output"])
-        extra = ""
-    else:
-        res = _reexpand.reexpand_weighted(nd, spec, opt["algorithm"])
-        _save(res.raw, opt["output"])
+    _save(out, opt["output"])
+    extra = ""
+    if res is not None:
         for w in res.warnings:
             print(f"warning: {w}", file=sys.stderr)
         extra = f" sign={res.sign:+.0f} eta_eff={''.join(map(str, res.eta_effective.bits))}"

@@ -8,9 +8,13 @@ Five one-dimensional kernels act on finitely supported sequences:
 * ``even_halved``  h^e_- a(n) = sum_{k-n odd} a_k (1/(n+k) + 1/(n-k)),        n >= 1
 * ``odd_halved``   h^o_- a(n) = sum_{k-n odd} a_k (1/(n+k) + 1/(k-n)),        n >= 0
 
-For the restricted kinds an index-0 entry is treated as zero and
-nonzero entries at negative indices are rejected.  The n = 0 self-term
-of the odd kernel is taken as zero (the a_0/0 convention).
+One support rule holds per axis, in every entry point: a ``full`` axis
+is two-sided; every other axis is one-sided (support in k >= 0, a
+nonzero entry at a negative index is rejected), the identity axes of
+:func:`dht_tensor` included; on a transformed axis the index-0 slice is
+dropped (a_0 = 0), except under ``subtract_mean`` in the re-expansion
+maps, which keeps it.  The n = 0 self-term of the odd kernel is taken
+as zero (the a_0/0 convention).
 
 Every kernel has two evaluators.  The ``naive`` one is the reference:
 a quadratic, FFT-free mat-vec with the kernel matrix built from the
@@ -48,7 +52,7 @@ window.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,37 +99,22 @@ class TransformRequest:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        lo, hi = self.output_range
-        _check_range(self.kind, int(lo), int(hi))
-        object.__setattr__(self, "output_range", (int(lo), int(hi)))
-
-
-def _check_range(kind: str, lo: int, hi: int) -> None:
-    if hi < lo:
-        raise ValueError(f"empty output range [{lo}, {hi}]")
-    floor = _KIND_FLOOR[kind]
-    if floor is not None and lo < floor:
-        raise ValueError(f"kind {kind!r} requires output indices >= {floor}, got {lo}")
+        (window,) = _checked_box((self.kind,), [self.output_range], self.algorithm)
+        object.__setattr__(self, "output_range", window)
 
 
 # ---------------------------------------------------------------------------
-# evaluators; batch shape (rows, support), output shape (rows, window)
+# evaluators; real rows of shape (rows, support), output shape (rows, window)
 
 
-def _naive(kind: str, batch: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarray:
+def _naive(kind: str, x: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarray:
     """Quadratic mat-vec with the kernel matrix from the definitions above:
     a Toeplitz view of 1/(n - k) and, but for ``full``, a Hankel view of
     1/(n + k).  Up to ``_NAIVE_VIEW_ROWS`` rows, einsum's own loop contracts
     the views and the matrix is never formed; larger batches form it in
     chunks of at most ``_NAIVE_CHUNK_ELEMS`` entries, once for all rows.
     The factor 2n and the self-terms act on the output and +-2k on the
-    input; real and imaginary rows go through one real product."""
-    rows = batch.shape[0]
-    x = batch.real
-    if np.any(batch.imag):  # real input skips the all-zero imaginary rows
-        x = np.concatenate([x, batch.imag])
+    input."""
     out = np.zeros((len(x), hi - lo + 1))
     if x.shape[-1] == 0:
         return out
@@ -163,7 +152,7 @@ def _naive(kind: str, batch: np.ndarray, offset: int, lo: int, hi: int) -> np.nd
     if kind in ("even", "odd"):  # self-terms; the n = 0 one of ``odd`` stays 0
         d = np.arange(max(lo, k[0], 1), min(hi, k[-1]) + 1)
         out[:, d - lo] += (0.5 if kind == "even" else -0.5) * x[:, d - offset] / d
-    return out[:rows] + 1j * out[rows:] if len(x) > rows else out
+    return out
 
 
 def _recip(batch: np.ndarray, offset: int, lo: int, hi: int, step: int) -> np.ndarray:
@@ -189,13 +178,9 @@ _SPLIT = {
 }
 
 
-def _fast(kind: str, batch: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarray:
+def _fast(kind: str, x: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarray:
     """R a and R b per output class n0 (one class, or two parities at step 2)."""
     direct, reflected, step = _SPLIT[kind]
-    rows = batch.shape[0]
-    x = batch.real
-    if np.any(batch.imag):  # real input skips the all-zero imaginary rows
-        x = np.concatenate([x, batch.imag])
     # support above the window: R a and R b of the even kinds nearly cancel,
     # 1/(n-k) + 1/(n+k) = (n/k) (1/(n-k) - 1/(n+k)) adds them instead
     far = kind in ("even", "even_halved") and offset > hi
@@ -214,34 +199,86 @@ def _fast(kind: str, batch: np.ndarray, offset: int, lo: int, hi: int) -> np.nda
         out[:, n0 - lo :: step] = res
     if far:
         out *= np.arange(lo, hi + 1)
-    return out[:rows] + 1j * out[rows:] if len(x) > rows else out
+    return out
 
 
 _BATCH_EVAL = {"naive": _naive, "fast": _fast}
 
 
-def _prepare_restricted(a: Coeff1D, kind: str) -> Coeff1D:
-    """Trim, reject negative support, and apply the a_0 = 0 convention."""
-    a = a.trim()
-    if len(a) == 0:
-        return a
-    lo, _ = a.support
-    if lo < 0:
-        raise ValueError(
-            f"kind {kind!r} takes one-sided input (nonzero entry at index {lo})"
-        )
-    if lo == 0:
-        a = Coeff1D(1, a.values[1:]).trim()
-    return a
+# ---------------------------------------------------------------------------
+# the one support rule and the one axis sweep behind every entry point
+
+
+def _one_sided(nd: CoeffND, floors) -> CoeffND:
+    """Trim, then apply each axis's input floor: None is two-sided, 0
+    requires k >= 0, and 1 requires k >= 0 and drops the index-0 slice
+    (a_0 = 0); a block that lost a slice is trimmed again."""
+    nd = nd.trim()
+    if nd.values.size == 0:
+        return nd
+    drop = []
+    for ax, ((lo, _), floor) in enumerate(zip(nd.support, floors)):
+        if floor is not None and lo < 0:
+            raise ValueError(f"support must lie in k >= 0 (axis {ax} starts at {lo})")
+        drop.append(int(floor == 1 and lo == 0))
+    if not any(drop):
+        return nd
+    cut = tuple(slice(k, None) for k in drop)
+    return CoeffND(tuple(o + k for o, k in zip(nd.offsets, drop)), nd.values[cut]).trim()
+
+
+def _checked_box(kinds, box, algorithm: str) -> list[tuple[int, int] | None]:
+    """The checks of the sweep: algorithm, box, and a window at or above
+    the kind's output floor on every transformed axis (kind not None)."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    box = _normalize_box(box, len(kinds))
+    for ax, (kind, window) in enumerate(zip(kinds, box)):
+        if kind is None:
+            continue
+        if window is None:
+            raise ValueError(f"axis {ax} is transformed and needs a window")
+        floor = _KIND_FLOOR[kind]
+        if floor is not None and window[0] < floor:
+            raise ValueError(f"axis {ax}: output indices must be >= {floor} for this parity")
+    return box
+
+
+def _apply_axis(nd: CoeffND, axis: int, kind: str, algorithm: str, lo: int, hi: int) -> CoeffND:
+    """Every line along ``axis`` is one row; real and imaginary rows go
+    through one real evaluation."""
+    arr = np.moveaxis(nd.values, axis, -1)
+    lead = arr.shape[:-1]
+    batch = arr.reshape(math.prod(lead), arr.shape[-1])
+    rows = batch.real
+    if np.any(batch.imag):  # real input skips the all-zero imaginary rows
+        rows = np.concatenate([rows, batch.imag])
+    out = _BATCH_EVAL[algorithm](kind, rows, nd.offsets[axis], lo, hi)
+    if len(rows) > len(batch):
+        out = out[: len(batch)] + 1j * out[len(batch) :]
+    out = np.moveaxis(out.reshape(lead + (hi - lo + 1,)), -1, axis)
+    offsets = list(nd.offsets)
+    offsets[axis] = lo
+    return CoeffND(tuple(offsets), out)
+
+
+def _sweep(a: CoeffND, kinds, box, algorithm: str, floors) -> CoeffND:
+    """Check everything, make the input one-sided per ``floors``, then
+    transform axis by axis; a ``None`` kind is the identity, windowed to
+    its box entry if one is given."""
+    box = _checked_box(kinds, box, algorithm)
+    nd = _one_sided(a, floors)
+    for ax, kind in enumerate(kinds):
+        if kind is not None:
+            nd = _apply_axis(nd, ax, kind, algorithm, *box[ax])
+        elif box[ax] is not None:
+            nd = _window_axis(nd, ax, *box[ax])
+    return nd
 
 
 def _run_1d(a: Coeff1D, kind: str, lo: int, hi: int, algorithm: str) -> Coeff1D:
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    _check_range(kind, lo, hi)
-    a = a.trim() if kind == "full" else _prepare_restricted(a, kind)
-    out = _BATCH_EVAL[algorithm](kind, a.values[None, :], a.offset, lo, hi)
-    return Coeff1D(lo, out[0])
+    floors = (None if kind == "full" else 1,)
+    return _sweep(a.as_nd(), (kind,), [(lo, hi)], algorithm, floors).as_coeff1d()
 
 
 def dht_full(a: Coeff1D, out_range: tuple[int, int], algorithm: str = "fast") -> Coeff1D:
@@ -288,17 +325,6 @@ def transform(a: Coeff1D, request: TransformRequest) -> Coeff1D:
 # multidimensional transforms
 
 
-def _apply_axis(nd: CoeffND, axis: int, batch_fn, lo: int, hi: int) -> CoeffND:
-    arr = np.moveaxis(nd.values, axis, -1)
-    lead = arr.shape[:-1]
-    batch = arr.reshape(int(np.prod(lead, dtype=np.int64)), arr.shape[-1])
-    out = batch_fn(batch, nd.offsets[axis], lo, hi)
-    out = np.moveaxis(out.reshape(lead + (hi - lo + 1,)), -1, axis)
-    offsets = list(nd.offsets)
-    offsets[axis] = lo
-    return CoeffND(tuple(offsets), out)
-
-
 def _normalize_box(box, d: int) -> list[tuple[int, int] | None]:
     box = list(box)
     if len(box) != d:
@@ -315,40 +341,12 @@ def _normalize_box(box, d: int) -> list[tuple[int, int] | None]:
     return out
 
 
-def _prepare_nd_positive(a: CoeffND, keep_zero: bool = False) -> CoeffND:
-    """Trim, require support in Z_+^d, drop index-0 slices unless kept."""
-    a = a.trim()
-    if a.values.size == 0:
-        return a
-    for ax, (lo, _) in enumerate(a.support):
-        if lo < 0:
-            raise ValueError(
-                f"support must lie in k >= 0 (axis {ax} starts at {lo})"
-            )
-    if keep_zero:
-        return a
-    slices = []
-    offsets = []
-    for ax, (lo, _) in enumerate(a.support):
-        drop = 1 if lo == 0 else 0
-        slices.append(slice(drop, None))
-        offsets.append(a.offsets[ax] + drop)
-    return CoeffND(tuple(offsets), a.values[tuple(slices)]).trim()
-
-
-def _mixed_fast(nd: CoeffND, eta: ParityVector, box) -> CoeffND:
-    out = nd
-    for ax in range(nd.ndim):
-        out = _apply_axis(out, ax, functools.partial(_fast, _HALVED[eta[ax]]), *box[ax])
-    return out
-
-
-def _mixed_naive(nd: CoeffND, eta: ParityVector, box) -> CoeffND:
+def _mixed_naive(nd: CoeffND, kinds, box) -> CoeffND:
     """Reference for the axis sweep: one kernel matrix per axis, tensordot."""
     out = nd.values
     for ax, (lo, hi) in enumerate(box):
         size = nd.values.shape[ax]
-        kern = _naive(_HALVED[eta[ax]], np.eye(size), nd.offsets[ax], lo, hi)
+        kern = _naive(kinds[ax], np.eye(size), nd.offsets[ax], lo, hi)
         out = np.tensordot(out, kern, axes=([0], [0]))  # window axis goes last
     return CoeffND(tuple(lo for lo, _ in box), out)
 
@@ -367,30 +365,19 @@ def dht_mixed(
     axes with eta_j = 1 require lo >= 1, axes with eta_j = 0 require
     lo >= 0.
     """
-    return _mixed_impl(a, eta, box, algorithm, keep_zero=False)
+    return _mixed(a, eta, box, algorithm, (1,) * a.ndim)
 
 
-def _mixed_impl(a, eta, box, algorithm, keep_zero):
+def _mixed(a: CoeffND, eta: ParityVector, box, algorithm: str, floors) -> CoeffND:
+    """:func:`dht_mixed` with the caller's input floors (0 keeps index 0);
+    ``naive`` runs the independent tensordot reference."""
     if len(eta) != a.ndim:
         raise ValueError(f"parity vector has {len(eta)} axes, expected {a.ndim}")
-    box = _normalize_box(box, a.ndim)
-    for ax, entry in enumerate(box):
-        if entry is None:
-            raise ValueError("mixed transform requires an explicit window per axis")
-        floor = 1 if eta[ax] == 1 else 0
-        if entry[0] < floor:
-            raise ValueError(
-                f"axis {ax}: output indices must be >= {floor} for this parity"
-            )
-    nd = _prepare_nd_positive(a, keep_zero=keep_zero)
-    if nd.values.size == 0:
-        shape = tuple(hi - lo + 1 for lo, hi in box)
-        return CoeffND(tuple(lo for lo, _ in box), np.zeros(shape, np.complex128))
-    if algorithm == "fast":
-        return _mixed_fast(nd, eta, box)
-    if algorithm == "naive":
-        return _mixed_naive(nd, eta, box)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    kinds = tuple(_HALVED[bit] for bit in eta.bits)
+    if algorithm != "naive":
+        return _sweep(a, kinds, box, algorithm, floors)
+    box = _checked_box(kinds, box, algorithm)
+    return _mixed_naive(_one_sided(a, floors), kinds, box)
 
 
 def dht_tensor(
@@ -411,38 +398,8 @@ def dht_tensor(
         raise ValueError("parity vectors must match the array dimension")
     if any(c == 1 and z == 1 for c, z in zip(chi.bits, zeta.bits)):
         raise ValueError("chi and zeta overlap: an axis cannot take both kernels")
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    box = _normalize_box(box, d)
-    nd = _prepare_nd_positive(a, keep_zero=True)
-    for ax in range(d):
-        kind = "even" if chi[ax] == 1 else ("odd" if zeta[ax] == 1 else None)
-        if kind is None:
-            if box[ax] is not None:
-                nd = _window_axis(nd, ax, *box[ax])
-            continue
-        if box[ax] is None:
-            raise ValueError(f"axis {ax} is transformed and needs a window")
-        lo, hi = box[ax]
-        _check_range(kind, lo, hi)
-        nd = _drop_nonpositive_axis(nd, ax, kind)
-        nd = _apply_axis(nd, ax, functools.partial(_BATCH_EVAL[algorithm], kind), lo, hi)
-    return nd
-
-
-def _drop_nonpositive_axis(nd: CoeffND, axis: int, kind: str) -> CoeffND:
-    lo, _ = nd.support[axis]
-    if lo < 0:
-        raise ValueError(
-            f"kind {kind!r} takes one-sided input along axis {axis} (support starts at {lo})"
-        )
-    if lo == 0 and nd.values.shape[axis] > 0:
-        slices = [slice(None)] * nd.ndim
-        slices[axis] = slice(1, None)
-        offsets = list(nd.offsets)
-        offsets[axis] += 1
-        return CoeffND(tuple(offsets), nd.values[tuple(slices)])
-    return nd
+    kinds = tuple("even" if c else "odd" if z else None for c, z in zip(chi.bits, zeta.bits))
+    return _sweep(a, kinds, box, algorithm, tuple(0 if k is None else 1 for k in kinds))
 
 
 def _window_axis(nd: CoeffND, axis: int, lo: int, hi: int) -> CoeffND:

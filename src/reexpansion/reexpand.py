@@ -134,6 +134,8 @@ def _subtract_face_means(nd: CoeffND, eta: ParityVector) -> CoeffND:
     modified series vanishes identically on the face t_j = 0; this is
     the d-dimensional version of re-expanding f(t) - f(0).
     """
+    if nd.values.size == 0:  # the zero series has no face values
+        return nd
     offsets = list(nd.offsets)
     vals = nd.values
     for ax in range(nd.ndim):
@@ -165,12 +167,10 @@ def reexpand_nd(a, spec: ReexpandSpec, algorithm: str = "fast") -> CoeffND:
     nd = _as_nd(a)
     if nd.ndim != len(spec.eta):
         raise ValueError(f"input has {nd.ndim} axes, spec has {len(spec.eta)}")
-    keep_zero = False
+    floors = (0 if spec.subtract_mean else 1,) * nd.ndim  # subtract_mean keeps index 0
     if spec.subtract_mean:
-        nd = hilbert._prepare_nd_positive(nd, keep_zero=True)
-        nd = _subtract_face_means(nd, spec.eta)
-        keep_zero = True
-    out = hilbert._mixed_impl(nd, spec.eta, spec.output_box, algorithm, keep_zero)
+        nd = _subtract_face_means(hilbert._one_sided(nd, floors), spec.eta)
+    out = hilbert._mixed(nd, spec.eta, spec.output_box, algorithm, floors)
     return out.scaled(TWO_OVER_PI ** nd.ndim)
 
 
@@ -325,9 +325,7 @@ def quadrature_oracle_box(
     d = nd.ndim
     if len(eta) != d or len(q) != d:
         raise ValueError("eta/q dimensions must match the input")
-    box = [(int(lo), int(hi)) for lo, hi in box]
-    if len(box) != d:
-        raise ValueError("box dimension must match the input")
+    box = hilbert._normalize_box(box, d)
     if nd.values.size == 0:
         shape = tuple(hi - lo + 1 for lo, hi in box)
         return CoeffND(tuple(lo for lo, _ in box), np.zeros(shape, np.complex128))

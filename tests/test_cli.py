@@ -143,6 +143,23 @@ def test_reexpand_box_below_parity_floor_is_usage_error(tmp_path, capsys, parity
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("index, argv, message", [
+    ((1, 1), ["reexpand", "--parity", "10", "--box", "3:1,0:4"], "empty box axis [3, 1]"),
+    ((-2,), ["hilbert", "--kind", "even", "--range", "1:4"], "support must lie in k >= 0"),
+    ((-2,), ["reexpand", "--parity", "1", "--box", "1:4"], "support must lie in k >= 0"),
+    ((-2,), ["reexpand", "--parity", "1", "--weight", "2", "--box", "1:4"],
+     "requires support in k >= 0"),
+], ids=["reexpand-empty-box", "hilbert-negative", "reexpand-negative", "weighted-negative"])
+def test_library_value_errors_are_usage_errors(tmp_path, capsys, index, argv, message):
+    path = tmp_path / "a.json"
+    save_sequence(CoeffND.impulse(index), str(path))
+    out = tmp_path / "o.json"
+    assert main(argv + ["--input", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_reexpand_1d_cosine(tmp_path, impulse_file):
     out = tmp_path / "b.json"
     code = main(["reexpand", "--input", impulse_file(1), "--parity", "1",

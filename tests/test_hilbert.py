@@ -441,3 +441,57 @@ class TestTensor:
         transformed = dht_even(Coeff1D(1, expected_cols[:, 0]), (1, 4)).values
         np.testing.assert_allclose(out.values[:, 0], transformed, atol=1e-14)
         assert np.all(out.values[:, 2:] == 0.0)
+
+
+class TestOneSupportRule:
+    """Every entry point applies one rule per axis: ``full`` is two-sided,
+    every other axis one-sided, and index 0 is dropped on transformed axes."""
+
+    A = Coeff1D(0, [3.0, -1.0, 0.5, 2.0, 0.25])  # a_0 != 0
+    NEG = Coeff1D(-2, [1.0, 0.0, 0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("alg", ALGS)
+    @pytest.mark.parametrize("bit,op,lo", [(1, dht_even, 1), (0, dht_odd, 0)])
+    def test_one_axis_tensor_is_the_1d_kernel(self, alg, bit, op, lo):
+        chi, zeta = ParityVector((bit,)), ParityVector((1 - bit,))
+        out = dht_tensor(self.A.as_nd(), chi, zeta, [(lo, 12)], alg)
+        np.testing.assert_array_equal(out.values, op(self.A, (lo, 12), alg).values)
+        assert out.offsets == (lo,)
+
+    @pytest.mark.parametrize("alg", ALGS)
+    @pytest.mark.parametrize("bit,op,lo", [(1, dht_even_halved, 1), (0, dht_odd_halved, 0)])
+    def test_one_axis_mixed_is_the_halved_kernel(self, alg, bit, op, lo):
+        out = dht_mixed(self.A.as_nd(), ParityVector((bit,)), [(lo, 12)], alg)
+        expected = op(self.A, (lo, 12), alg).values
+        if alg == "fast":  # the same sweep
+            np.testing.assert_array_equal(out.values, expected)
+        else:  # the separate tensordot reference
+            np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("call", [
+        lambda a: dht_even(a, (1, 4)),
+        lambda a: dht_odd(a, (0, 4)),
+        lambda a: dht_even_halved(a, (1, 4)),
+        lambda a: dht_odd_halved(a, (0, 4), "naive"),
+        lambda a: transform(a, TransformRequest("odd", (0, 4))),
+        lambda a: dht_mixed(a.as_nd(), ParityVector((1,)), [(1, 4)]),
+        lambda a: dht_mixed(a.as_nd(), ParityVector((0,)), [(0, 4)], "naive"),
+        lambda a: dht_tensor(a.as_nd(), ParityVector((1,)), ParityVector((0,)), [(1, 4)]),
+        lambda a: dht_tensor(a.as_nd(), ParityVector((0,)), ParityVector((0,)), [None]),
+        lambda a: dht_tensor(  # negative support on the identity axis only
+            CoeffND((1, -2), np.ones((1, 5))), ParityVector((1, 0)), ParityVector((0, 0)),
+            [(1, 4), (0, 4)]),
+    ], ids=["even", "odd", "even_halved", "odd_halved-naive", "transform", "mixed",
+            "mixed-naive", "tensor", "tensor-identity", "tensor-identity-2d"])
+    def test_every_entry_point_rejects_negative_support(self, call):
+        with pytest.raises(ValueError, match=r"support must lie in k >= 0"):
+            call(self.NEG)
+
+    @pytest.mark.parametrize("call", [
+        lambda z: dht_mixed(z, ParityVector((1, 0)), [(1, 4), (0, 4)], "bogus"),
+        lambda z: dht_tensor(z, ParityVector((1, 0)), ParityVector((0, 1)), [(1, 4), (0, 4)], "bogus"),
+        lambda z: dht_tensor(z, ParityVector((0, 0)), ParityVector((0, 0)), [None, None], "bogus"),
+    ], ids=["mixed", "tensor", "tensor-identity"])
+    def test_zero_input_still_checks_the_algorithm(self, call):
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            call(CoeffND((1, 1), np.zeros((3, 3))))

@@ -154,6 +154,46 @@ class TestSubtractMean:
             naive.values, fast.values, atol=1e-12 * np.max(np.abs(fast.values))
         )
 
+    @pytest.mark.parametrize("alg", ["naive", "fast"])
+    @pytest.mark.parametrize(
+        "a,eta,box",
+        [
+            (Coeff1D(0, [2.0, -1.0, 0.5, 3.0]), COS, ((1, 9),)),
+            (CoeffND((0, 0), np.arange(1.0, 13.0).reshape(3, 4)), ParityVector((1, 1)),
+             ((1, 7), (1, 7))),
+        ],
+        ids=["1d-cosine", "2d-cosine"],
+    )
+    def test_index_zero_is_kept(self, a, eta, box, alg):
+        # after the face means are subtracted the index-0 slice is nonzero
+        # and enters the sum: the kernel (1/(m+k) + 1/(m-k)) at k = 0 is 2/m
+        from reexpansion.reexpand import _subtract_face_means
+
+        modified = _subtract_face_means(a if isinstance(a, CoeffND) else a.as_nd(), eta)
+        assert modified[(0,) * len(eta)] != 0
+        spec = ReexpandSpec(eta, WeightExponent.zero(len(eta)), box, subtract_mean=True)
+        out = reexpand_nd(a, spec, alg)
+        for m in np.ndindex(*out.dims):
+            m = tuple(i + o for i, o in zip(m, out.offsets))
+            expected = 0.0
+            for k in np.ndindex(*modified.dims):
+                k = tuple(i + o for i, o in zip(k, modified.offsets))
+                if all((kj - mj) % 2 == 1 for kj, mj in zip(k, m)):
+                    expected += modified[k] * np.prod(
+                        [1 / (mj + kj) + 1 / (mj - kj) for kj, mj in zip(k, m)])
+            np.testing.assert_allclose(out[m], TWO_OVER_PI ** len(eta) * expected,
+                                       rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("subtract_mean", [False, True])
+    def test_zero_input(self, subtract_mean):
+        z = CoeffND((1, 1), np.zeros((3, 3)))
+        spec = ReexpandSpec(ParityVector((1, 0)), WeightExponent.zero(2), ((1, 4), (0, 4)),
+                            subtract_mean=subtract_mean)
+        out = reexpand_nd(z, spec)
+        assert out.offsets == (1, 0) and out.dims == (4, 5) and l1_norm(out) == 0.0
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            reexpand_nd(z, spec, "bogus")
+
     def test_2d_vanishes_on_cosine_faces(self):
         from reexpansion.reexpand import _subtract_face_means
         from reexpansion.sequences import series_eval
@@ -193,6 +233,11 @@ class TestQuadratureOracle:
     def test_unreachable_tolerance_fails_loudly(self):
         with pytest.raises(RuntimeError):
             quadrature_oracle(E1, COS, Q0, 2, tol=0.0)
+
+    @pytest.mark.parametrize("a", [E1, Coeff1D(0, [0.0])], ids=["impulse", "zero"])
+    def test_empty_box_axis_is_refused(self, a):
+        with pytest.raises(ValueError, match=r"empty box axis \[5, 3\]"):
+            quadrature_oracle_box(a, COS, Q0, [(5, 3)])
 
     def test_oversized_box_is_refused_before_allocating(self):
         # 4096 -> 4096 would need (4096 + 4096) x 16 x 2 x 32,772 x 8 bytes
