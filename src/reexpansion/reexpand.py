@@ -49,8 +49,8 @@ from .sequences import (
     boundary_vanish_check,
     gauss_legendre_grid,
     l1_norm,
-    log_weighted_sum,
     weight_apply,
+    window_axis,
 )
 
 __all__ = [
@@ -140,9 +140,7 @@ def _subtract_face_means(nd: CoeffND, eta: ParityVector) -> CoeffND:
     vals = nd.values
     for ax in range(nd.ndim):
         if eta[ax] == 1 and offsets[ax] > 0:
-            pad = [(0, 0)] * nd.ndim
-            pad[ax] = (offsets[ax], 0)
-            vals = np.pad(vals, pad)
+            vals = window_axis(vals, offsets[ax], ax, 0, nd.support[ax][1])
             offsets[ax] = 0
     vals = vals.copy()
     for ax in range(nd.ndim):
@@ -326,6 +324,8 @@ def quadrature_oracle_box(
     if len(eta) != d or len(q) != d:
         raise ValueError("eta/q dimensions must match the input")
     box = hilbert._normalize_box(box, d)
+    if None in box:
+        raise ValueError(f"axis {box.index(None)} needs a window")
     if nd.values.size == 0:
         shape = tuple(hi - lo + 1 for lo, hi in box)
         return CoeffND(tuple(lo for lo, _ in box), np.zeros(shape, np.complex128))
@@ -436,9 +436,9 @@ def summability_report(
 
     For window size N the norm covers n in [1, N] (even kinds),
     [0, N] (odd kinds), or [-N, N] (full).  Also reports the moment
-    sums sum a_k and sum (-1)^k a_k, the log-weighted sufficiency sum,
-    and a window-adequacy hint (the l1 bound ||a||_1/(N+1-kmax) on the
-    first neglected term).
+    sums sum a_k and sum (-1)^k a_k, the log-weighted sufficiency sum
+    sum |a_k| ln(|k| + 1), and a window-adequacy hint (the l1 bound
+    ||a||_1/(N+1-kmax) on the first neglected term).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
@@ -461,22 +461,13 @@ def summability_report(
     incs = [norms[0]] + [norms[j] - norms[j - 1] for j in range(1, len(norms))]
 
     nd = a.trim()
-    if len(nd):
-        ks = nd.indices()
-        total = complex(np.sum(nd.values))
-        alt = complex(np.sum(nd.values * (-1.0) ** (ks % 2)))
-        kmax = int(np.max(np.abs(ks)))
-    else:
-        total = alt = 0.0 + 0.0j
-        kmax = 0
-    norm_a = l1_norm(a)
-    tail_hint = norm_a / max(1, big + 1 - kmax)
-
-    try:
-        logw = log_weighted_sum(nd, WeightExponent.zero(1))
-    except ValueError:
-        # two-sided support: weight by ln(|k| + 1) instead
-        logw = float(np.sum(np.abs(nd.values) * np.log(np.abs(nd.indices()) + 1.0)))
+    ks = nd.indices()
+    total = complex(np.sum(nd.values))
+    alt = complex(np.sum(nd.values * (-1.0) ** (ks % 2)))
+    kmax = int(np.max(np.abs(ks), initial=0))
+    tail_hint = l1_norm(a) / max(1, big + 1 - kmax)
+    # on k >= 0 this is log_weighted_sum with q = 0, bit for bit
+    logw = float(np.sum(np.abs(nd.values) * np.log(np.abs(ks) + 1.0)))
 
     return SummabilityReport(
         kind=kind,

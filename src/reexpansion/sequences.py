@@ -235,6 +235,20 @@ class CoeffND:
 CoeffLike = Union[Coeff1D, CoeffND]
 
 
+def window_axis(values: np.ndarray, offset: int, axis: int, lo: int, hi: int) -> np.ndarray:
+    """The block ``values``, whose ``axis`` starts at index ``offset``,
+    restricted or zero-padded along that axis to the inclusive window
+    [lo, hi]; a new complex array."""
+    shape = list(values.shape)
+    shape[axis] = hi - lo + 1
+    out = np.zeros(shape, dtype=np.complex128)
+    c_lo, c_hi = max(lo, offset), min(hi + 1, offset + values.shape[axis])
+    if c_lo < c_hi:
+        dst, src = out.swapaxes(0, axis), values.swapaxes(0, axis)
+        dst[c_lo - lo : c_hi - lo] = src[c_lo - offset : c_hi - offset]
+    return out
+
+
 def _as_nd(a: CoeffLike) -> CoeffND:
     return a.as_nd() if isinstance(a, Coeff1D) else a
 

@@ -6,6 +6,7 @@ double-loop summation) and are cross-checked here against both
 evaluators.
 """
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -297,6 +298,28 @@ def test_naive_path_is_fft_free_and_linear_in_memory(monkeypatch):
         rows = [hilbert._naive(kind, row[None, :], 1, lo, n)[0] for row in batch]
         np.testing.assert_allclose(out, rows, rtol=0, atol=1e-12 * np.max(np.abs(rows)))
         assert peak <= 2 * hilbert._NAIVE_CHUNK_ELEMS * 8, f"{kind}: peak {peak} bytes"
+
+
+def _is_5_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_fast_len_is_the_least_5_smooth_length():
+    from reexpansion import hilbert
+
+    for n in range(1, 4097):
+        assert hilbert._fast_len(n) == next(m for m in itertools.count(n) if _is_5_smooth(m))
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    from reexpansion import hilbert
+
+    sfft = pytest.importorskip("scipy.fft")
+    ns = [*range(1, 65537), 3 * 2**20, 2**21 + 1]
+    assert [hilbert._fast_len(n) for n in ns] == [sfft.next_fast_len(n, real=True) for n in ns]
 
 
 # The invariants below need no quadratic reference, so they check the

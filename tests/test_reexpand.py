@@ -239,6 +239,11 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError, match=r"empty box axis \[5, 3\]"):
             quadrature_oracle_box(a, COS, Q0, [(5, 3)])
 
+    @pytest.mark.parametrize("a", [E1, Coeff1D(0, [0.0])], ids=["impulse", "zero"])
+    def test_none_box_entry_is_refused(self, a):
+        with pytest.raises(ValueError, match="axis 0 needs a window"):
+            quadrature_oracle_box(a, COS, Q0, [None])
+
     def test_oversized_box_is_refused_before_allocating(self):
         # 4096 -> 4096 would need (4096 + 4096) x 16 x 2 x 32,772 x 8 bytes
         a = Coeff1D(1, np.ones(4096))
