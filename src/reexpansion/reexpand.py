@@ -12,7 +12,9 @@ the mixed halved Hilbert transform scaled by (2/pi)^d:
 Each map is backed by an independent quadrature oracle that integrates
 the evaluated series against the target basis with composite
 Gauss-Legendre panels; the oracle never touches the 1/(m +- k) kernel
-formulas.
+formulas.  It evaluates both bases at every node, as the real or
+imaginary parts of phase tables e^{i k t} built by rotation (rows
+n..2n-1 are rows 0..n-1 times e^{int}) over chunks of nodes, and sums.
 
 Conventions
 
@@ -45,7 +47,8 @@ from .sequences import (
     ParityVector,
     WeightExponent,
     _as_nd,
-    _basis_matrix,
+    _node_chunks,
+    _phase_rows,
     boundary_vanish_check,
     gauss_legendre_grid,
     l1_norm,
@@ -75,7 +78,15 @@ CONVERGING_RATIO = 0.75
 DIVERGING_RATIO = 0.85
 
 PANELS_PER_UNIT = 4  # panels = 4 * (max frequency + |m| + 1) per axis
-_ORACLE_MAX_BYTES = 10**9  # cap on one axis's basis matrices in the fine pass
+# bound on one axis's basis work in the fine pass, counted as the bytes
+# its (support + window) x nodes basis values would fill if held whole
+_ORACLE_MAX_BYTES = 10**9
+# complex entries in one node chunk of the oracle's phase tables (4 MB).
+# 2**16 to 2**18 run equally fast, but after freeing 1 MB tables a later
+# 2^15-point FFT call in the same process ran slow enough that
+# criterion 2 read 2.9 (glibc trims its heap at twice the largest block
+# freed so far, so its work arrays were likely faulted in afresh).
+_ORACLE_CHUNK_ELEMS = 2**18
 
 
 @dataclass(frozen=True)
@@ -274,29 +285,47 @@ def reexpand_weighted(a, spec: ReexpandSpec, algorithm: str = "fast") -> Weighte
 
 
 def _axis_integrals(
-    k: np.ndarray,
-    ms: np.ndarray,
+    k0: int,
+    nk: int,
+    m0: int,
+    nm: int,
     eta_bit: int,
     q: int,
     panels: int,
 ) -> np.ndarray:
-    """G[k, m] = integral over [0, pi] of source basis x target basis.
+    """G[k, m] = integral over [0, pi] of source basis x target basis,
+    for k = k0..k0+nk-1 and m = m0..m0+nm-1.
 
     Source: cos(k t + q pi/2) if eta_bit else sin(k t + q pi/2);
     target: sin(m t + q pi/2) if eta_bit else cos(m t + q pi/2).
+    Both bases are evaluated at every node of the grid, as the real or
+    imaginary part of a phase table, one chunk of nodes at a time, and
+    each chunk's weighted products are summed into G.  Memory stays at
+    one chunk's tables, never a whole (k or m) x nodes table.
     """
     t, w = gauss_legendre_grid(0.0, np.pi, panels)
-    src = _basis_matrix(k, t, eta_bit, q)
-    tgt = _basis_matrix(ms, t, 1 - eta_bit, q)
-    return src @ (w[:, None] * tgt.T)
+    lo = min(k0, m0)
+    rows = max(k0 + nk, m0 + nm) - lo
+    shared = rows <= nk + nm  # overlapping ranges: one table holds both
+    g = np.zeros((nk, nm))
+    for c in _node_chunks(t.size, rows if shared else nk + nm, _ORACLE_CHUNK_ELEMS):
+        if shared:
+            table = _phase_rows(lo, rows, t[c], q)
+            src, tgt = table[k0 - lo : k0 - lo + nk], table[m0 - lo : m0 - lo + nm]
+        else:
+            src, tgt = _phase_rows(k0, nk, t[c], q), _phase_rows(m0, nm, t[c], q)
+        src, tgt = (src.real, tgt.imag) if eta_bit else (src.imag, tgt.real)
+        # BLAS needs unit strides; the .real/.imag views step over pairs
+        g += (src * w[c]) @ np.ascontiguousarray(tgt).T
+    return g
 
 
 def _oracle_values(nd, eta, q, box, panel_counts) -> np.ndarray:
     acc = weight_apply(nd, q).values
-    for ax in range(nd.ndim):
-        k = nd.axis_indices(ax).astype(float)
-        ms = np.arange(box[ax][0], box[ax][1] + 1, dtype=float)
-        g = _axis_integrals(k, ms, eta[ax], q[ax], panel_counts[ax])
+    for ax, (lo, hi) in enumerate(box):
+        g = _axis_integrals(
+            nd.offsets[ax], nd.dims[ax], lo, hi - lo + 1, eta[ax], q[ax], panel_counts[ax]
+        )
         acc = np.tensordot(acc, g, axes=([0], [0]))
     return acc * TWO_OVER_PI ** nd.ndim
 
@@ -315,9 +344,12 @@ def quadrature_oracle_box(
     panels (16 nodes each, 4*(max frequency + |m| + 1) panels per
     axis).  The whole box is confirmed by one refinement step with
     doubled panels; disagreement beyond ``tol`` raises rather than
-    returning a silent result.  A box whose fine-pass basis matrices,
-    (support + window) x 16 x 2 panels x 8 bytes on one axis, would pass
-    1 GB is refused with a ``ValueError`` before anything is allocated.
+    returning a silent result.  The bases are built chunk by chunk of
+    nodes, so memory stays near one chunk's tables; the work still
+    grows with (support + window) x nodes.  A box whose fine-pass basis
+    values on one axis, (support + window) x 16 x 2 panels x 8 bytes,
+    would pass 1 GB is refused with a ``ValueError`` before any basis
+    is evaluated.
     """
     nd = _as_nd(a).trim()
     d = nd.ndim
@@ -340,8 +372,8 @@ def quadrature_oracle_box(
     )
     if need > _ORACLE_MAX_BYTES:
         raise ValueError(
-            f"quadrature oracle needs {need / 1e9:.1f} GB of basis matrices "
-            f"(cap {_ORACLE_MAX_BYTES / 1e9:g} GB); use a smaller support or box"
+            f"quadrature oracle needs {need / 1e9:.1f} GB of basis values on one axis "
+            f"(work cap {_ORACLE_MAX_BYTES / 1e9:g} GB); use a smaller support or box"
         )
     coarse = _oracle_values(nd, eta, q, box, panel_counts)
     fine = _oracle_values(nd, eta, q, box, [2 * p for p in panel_counts])

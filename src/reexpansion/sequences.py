@@ -6,8 +6,9 @@ analogue, a dense complex block with one integer offset per axis).
 Everything outside the stored block is implicitly zero.  On top of the
 data model this module provides the weighting map ``a_k -> k^q a_k``,
 the log-weighted sufficiency sums, direct evaluation of the associated
-sine/cosine series, boundary (face) vanishing diagnostics, and the
-composite Gauss-Legendre grid that the quadrature oracles share.
+sine/cosine series, boundary (face) vanishing diagnostics, and what
+the quadrature oracles share: the composite Gauss-Legendre grid and
+phase tables e^{i k t} built by rotation over chunks of its nodes.
 
 Values are always complex double precision; indices are plain Python
 ints.  Instances are treated as immutable after construction and are
@@ -17,6 +18,7 @@ safe to share between threads.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -211,14 +213,14 @@ class CoeffND:
 
     def trim(self) -> "CoeffND":
         """Shrink the block to the smallest box containing all nonzeros."""
-        if self.values.size == 0 or not np.any(self.values):
+        nonzero = self.values != 0
+        if not nonzero.any():
             return CoeffND((0,) * self.ndim, np.zeros((0,) * self.ndim))
         slices = []
         offs = []
         for ax in range(self.ndim):
             other = tuple(i for i in range(self.ndim) if i != ax)
-            mask = np.any(self.values != 0, axis=other) if other else self.values != 0
-            nz = np.nonzero(mask)[0]
+            nz = np.flatnonzero(nonzero.any(axis=other) if other else nonzero)
             slices.append(slice(int(nz[0]), int(nz[-1]) + 1))
             offs.append(self.offsets[ax] + int(nz[0]))
         return CoeffND(tuple(offs), self.values[tuple(slices)].copy())
@@ -385,17 +387,63 @@ def log_weighted_sum(a: CoeffLike, q: WeightExponent) -> float:
 GL_NODES = 16  # Gauss-Legendre nodes per quadrature panel
 
 
+@functools.cache
+def _unit_gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(GL_NODES), solved once per process on first use; read-only."""
+    x, w = leggauss(GL_NODES)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_grid(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [lo, hi], GL_NODES per panel."""
-    x, w = leggauss(GL_NODES)
+    x, w = _unit_gauss_legendre()
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
+def _node_chunks(nodes: int, rows: int, elems: int):
+    """Slices covering range(nodes), each short enough that a rows x chunk
+    phase table holds at most ``elems`` entries (one node at least)."""
+    step = max(1, elems // max(rows, 1))
+    return (slice(s, s + step) for s in range(0, nodes, step))
+
+
+def _phase_rows(k0: int, rows: int, t: np.ndarray, q: int = 0) -> np.ndarray:
+    """Rows k = k0..k0+rows-1, columns t: e^{i(k t + q pi/2)}, by rotation.
+
+    The first row is one direct ``np.exp``.  Once rows 0..n-1 are filled,
+    rows n..2n-1 are those rows times e^{int}, written in place; e^{int}
+    is e^{it} squared again at each doubling.  A table thus costs two
+    exponentials per node, not one cosine per entry, and only about
+    log2(rows) numpy calls, so narrow node chunks stay cheap.  Row r
+    stays within (|k0| + r) * 1e-15 of the direct exponential, the order
+    of the rounding of k t itself, as with one rotation per row.
+    """
+    out = np.empty((rows, t.size), dtype=np.complex128)
+    if rows:
+        out[0] = np.exp(1j * (k0 * t + q * np.pi / 2.0))
+        turn = np.exp(1j * t)
+        n = 1
+        while n < rows:
+            m = min(n, rows - n)
+            np.multiply(out[:m], turn, out=out[n : n + m])
+            n += m
+            if n < rows:
+                turn *= turn
+    return out
+
+
 def _basis_matrix(k: np.ndarray, t: np.ndarray, parity: int, q: int) -> np.ndarray:
-    """Rows k, columns t: cos(k t + q pi/2) for parity 1, sin(...) else."""
+    """Rows k, columns t: cos(k t + q pi/2) for parity 1, sin(...) else.
+
+    Direct cosines and sines, not :func:`_phase_rows`: the boundary
+    probes evaluate only a few points, and on a face their values near
+    1e-14 must agree with ``math.sin`` of the same product to 1e-13
+    relative, which the rotation's drift would break.
+    """
     arg = np.outer(k, t) + q * np.pi / 2.0
     return np.cos(arg) if parity == 1 else np.sin(arg)
 

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .hilbert import dht_full
-from .sequences import Coeff1D, gauss_legendre_grid
+from .sequences import Coeff1D, _node_chunks, _phase_rows, gauss_legendre_grid
 
 __all__ = [
     "RootSystem",
@@ -292,6 +292,9 @@ def character_coeff_quadrature(a: Coeff1D, l, tol: float = 1e-10) -> complex:
 
     Composite Gauss-Legendre on [-pi, pi] with one confirming
     refinement; raises if the refinement moves the value beyond tol.
+    The series is evaluated at every node from phase tables built by
+    rotation over chunks of nodes, each table no larger than one array
+    over the nodes, so memory stays O(nodes) whatever the support.
     """
     two_l = _two_l(l)
     d = two_l + 1
@@ -300,12 +303,12 @@ def character_coeff_quadrature(a: Coeff1D, l, tol: float = 1e-10) -> complex:
 
     def integrate(p):
         t, wt = gauss_legendre_grid(-np.pi, np.pi, p)
-        f = np.zeros_like(t, dtype=np.complex128)
-        for k, v in zip(a.indices(), a.values):
-            f += v * np.exp(1j * k * t)
-        dens = 2.0 - 2.0 * np.cos(2.0 * t)
-        chi = su2_character(l, t)
-        return np.sum(f * chi * dens * wt) / (2.0 * np.pi)
+        g = su2_character(l, t) * (2.0 - 2.0 * np.cos(2.0 * t)) * wt
+        moments = np.zeros(len(a), dtype=np.complex128)  # sum_t e^{ikt} g(t), per k
+        # a table no larger than one node-length array: memory stays O(nodes)
+        for c in _node_chunks(t.size, len(a), t.size):
+            moments += _phase_rows(a.offset, len(a), t[c]) @ g[c]
+        return a.values @ moments / (2.0 * np.pi)
 
     coarse = integrate(panels)
     fine = integrate(2 * panels)

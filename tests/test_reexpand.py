@@ -29,7 +29,9 @@ from reexpansion import (
     summability_report,
     weight_apply,
 )
-from reexpansion.reexpand import TWO_OVER_PI
+from reexpansion import reexpand
+from reexpansion.reexpand import TWO_OVER_PI, _axis_integrals
+from reexpansion.sequences import _basis_matrix, gauss_legendre_grid
 
 E1 = Coeff1D.impulse(1)
 COS = ParityVector((1,))
@@ -243,6 +245,41 @@ class TestQuadratureOracle:
     def test_none_box_entry_is_refused(self, a):
         with pytest.raises(ValueError, match="axis 0 needs a window"):
             quadrature_oracle_box(a, COS, Q0, [None])
+
+    @pytest.mark.parametrize(
+        "k0, nk, m0, nm", [(1, 64, 1, 128), (500, 8, 490, 31), (1, 8, 40, 11), (-30, 50, -10, 51)],
+        ids=["overlap", "far-overlap", "disjoint", "negative"],
+    )
+    @pytest.mark.parametrize("eta_bit, q", [(1, 0), (0, 0), (1, 1), (0, 2)])
+    def test_chunked_integrals_match_whole_basis_matrices(self, monkeypatch, k0, nk, m0, nm, eta_bit, q):
+        # a small chunk budget forces many node chunks and a short last one
+        monkeypatch.setattr(reexpand, "_ORACLE_CHUNK_ELEMS", 5000)
+        panels = 37  # 592 nodes, a multiple of no chunk size used here
+        t, w = gauss_legendre_grid(0.0, np.pi, panels)
+        k = np.arange(k0, k0 + nk, dtype=float)
+        m = np.arange(m0, m0 + nm, dtype=float)
+        src = _basis_matrix(k, t, eta_bit, q)
+        tgt = _basis_matrix(m, t, 1 - eta_bit, q)
+        want = src @ (w[:, None] * tgt.T)
+        got = _axis_integrals(k0, nk, m0, nm, eta_bit, q, panels)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_far_offset_box_matches_map(self):
+        rng = np.random.default_rng(44)
+        a = Coeff1D(500, rng.standard_normal(8))
+        got = quadrature_oracle_box(a, COS, Q0, [(490, 520)])
+        np.testing.assert_allclose(got.values, cos_to_sin(a, (490, 520)).values, atol=1e-10)
+
+    def test_peak_memory_is_a_few_node_chunks(self):
+        # whole basis matrices for 64 -> 128 took 63.7 MB at the peak
+        a = Coeff1D(1, np.random.default_rng(45).standard_normal(64))
+        tracemalloc.start()
+        try:
+            quadrature_oracle_box(a, COS, Q0, [(1, 128)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 10**6
 
     def test_oversized_box_is_refused_before_allocating(self):
         # 4096 -> 4096 would need (4096 + 4096) x 16 x 2 x 32,772 x 8 bytes

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from reexpansion import (
     Coeff1D,
@@ -20,7 +21,13 @@ from reexpansion import (
     series_eval,
     weight_apply,
 )
-from reexpansion.sequences import _CHUNK
+from reexpansion.sequences import (
+    _CHUNK,
+    GL_NODES,
+    _node_chunks,
+    _phase_rows,
+    gauss_legendre_grid,
+)
 
 
 def test_l1_norm_zero_sequence():
@@ -66,6 +73,37 @@ def test_trim_nd():
     assert a.dims == (2, 2)
     t2 = a.trim()
     assert t2.offsets == a.offsets and t2.dims == a.dims
+
+
+@pytest.mark.parametrize(
+    "shape, nonzero, offsets, dims",
+    [
+        ((7,), [], (0,), (0,)),
+        ((3, 4, 5), [], (0, 0, 0), (0, 0, 0)),
+        ((7,), [(6,)], (16,), (1,)),
+        ((7,), [(0,)], (10,), (1,)),
+        ((3, 4, 5), [(2, 3, 4)], (12, 23, 34), (1, 1, 1)),
+        ((3, 4, 5), [(0, 0, 0)], (10, 20, 30), (1, 1, 1)),
+        ((3, 4, 5), [(0, 3, 0), (2, 0, 4)], (10, 20, 30), (3, 4, 5)),
+    ],
+    ids=["1d-zeros", "3d-zeros", "1d-last", "1d-first", "3d-far-corner",
+         "3d-near-corner", "3d-opposite-corners"],
+)
+def test_trim_nd_edge_cases(shape, nonzero, offsets, dims):
+    vals = np.zeros(shape, dtype=np.complex128)
+    for i, idx in enumerate(nonzero):
+        vals[idx] = 1.0 + i
+    base = (10, 20, 30)[: len(shape)]
+    t = CoeffND(base, vals).trim()
+    assert t.offsets == offsets and t.dims == dims
+    if nonzero:
+        want = vals[tuple(slice(o - b, o - b + n) for o, b, n in zip(offsets, base, dims))]
+        assert t.values.tobytes() == want.tobytes()
+        assert t.values.base is None  # a copy, never a view of the input
+    if len(shape) == 1:
+        ref = Coeff1D(base[0], vals).trim()
+        assert (ref.offset, len(ref)) == (t.offsets[0], t.dims[0])
+        assert ref.values.tobytes() == t.values.tobytes()
 
 
 def test_weight_apply_identity_for_zero_exponent():
@@ -387,3 +425,41 @@ def test_weight_exponent_validation():
     with pytest.raises(ValueError):
         WeightExponent((-1,))
     assert WeightExponent.zero(3).is_zero
+
+
+def test_gauss_legendre_grid_matches_a_fresh_leggauss_bit_for_bit():
+    x, w = leggauss(GL_NODES)
+    for lo, hi, panels in [(0.0, np.pi, 1), (0.0, np.pi, 772), (-np.pi, np.pi, 93)]:
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        t, wt = gauss_legendre_grid(lo, hi, panels)
+        assert t.tobytes() == (mid[:, None] + half[:, None] * x).ravel().tobytes()
+        assert wt.tobytes() == (half[:, None] * w).ravel().tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 128, 2048])
+@pytest.mark.parametrize("k0", [-200, 1, 10**4, 10**6])
+def test_phase_rows_match_direct_exponentials(k0, rows):
+    # rotation drift grows with the row count, and the direct products
+    # k t themselves round at the scale of |k|
+    t, _ = gauss_legendre_grid(0.0, np.pi, 7)  # 112 nodes
+    for q in (0, 3):
+        k = np.arange(k0, k0 + rows, dtype=float)
+        want = np.exp(1j * (k[:, None] * t + q * np.pi / 2.0))
+        got = _phase_rows(k0, rows, t, q)
+        assert got.shape == (rows, t.size)
+        assert np.max(np.abs(got - want)) <= 1e-15 * (abs(k0) + rows)
+
+
+def test_phase_rows_with_no_rows():
+    assert _phase_rows(5, 0, np.linspace(0.0, 1.0, 9)).shape == (0, 9)
+
+
+@pytest.mark.parametrize(
+    "nodes, rows, elems", [(1000, 1, 64), (1000, 300, 2**14), (7, 10**6, 2**14), (0, 4, 64), (50, 0, 64)]
+)
+def test_node_chunks_cover_every_node_once(nodes, rows, elems):
+    chunks = [np.arange(nodes)[c] for c in _node_chunks(nodes, rows, elems)]
+    assert all(0 < len(c) * max(rows, 1) <= max(elems, rows) for c in chunks)
+    np.testing.assert_array_equal(np.concatenate(chunks or [[]]), np.arange(nodes))

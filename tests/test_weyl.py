@@ -238,6 +238,14 @@ class TestCharacterCoeff:
             quad = character_coeff_quadrature(a, l)
             np.testing.assert_allclose(quad, exact, atol=1e-12)
 
+    def test_quadrature_with_the_su2_benchmark_support(self):
+        # 401 rows cut the grids into chunks of 32 to 77 nodes; for
+        # 2l = 7 and 40 the last chunk of each grid is shorter
+        a = Coeff1D(-200, np.random.default_rng(28).standard_normal(401))
+        for two_l in (0, 7, 40):
+            l = Fraction(two_l, 2)
+            np.testing.assert_allclose(character_coeff_quadrature(a, l), character_coeff(a, l), atol=1e-12)
+
     def test_orthonormality_exact_rational(self):
         # (1/|W|) (1/2pi) int chi_l chi_l' |Delta|^2 = delta_{ll'},
         # evaluated in exact integer arithmetic from the finite supports.
