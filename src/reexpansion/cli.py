@@ -41,7 +41,7 @@ from .sequences import (
 __all__ = ["CliInvocation", "parse_args", "run", "emit_report", "main"]
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -138,18 +138,21 @@ def parse_args(argv: list[str]) -> CliInvocation:
 def _load(path: str):
     try:
         return load_sequence(path)
-    except (OSError, ValueError) as exc:  # unreadable, missing or malformed
+    except OSError as exc:  # unreadable or missing; malformed is a ValueError
         raise UsageError(str(exc)) from exc
 
 
 @contextlib.contextmanager
 def _writing(path: str):
     """Turn an OSError while writing ``path`` into one RuntimeError naming
-    ``path`` (not the temp file the atomic writer uses)."""
+    ``path`` (not the temp file the atomic writer uses).  A result the
+    writer refuses as non-finite is a computation error too."""
     try:
         yield
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise RuntimeError(str(exc)) from exc
 
 
 def _save(a, path: str) -> None:
@@ -222,11 +225,7 @@ def _parse_half_integer(text: str, flag: str) -> Fraction:
 def _run_hilbert(opt) -> str:
     a = _require_1d(_load(opt["input"]), f"kind {opt['kind']!r}")
     rng = _parse_range(opt["range"])
-    try:
-        req = _hilbert.TransformRequest(opt["kind"], rng, opt["algorithm"])
-        out = _hilbert.transform(a, req)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    out = _hilbert.transform(a, _hilbert.TransformRequest(opt["kind"], rng, opt["algorithm"]))
     _save(out, opt["output"])
     return f"kind={opt['kind']} support={len(a.trim())} window={rng[0]}:{rng[1]}"
 
@@ -234,28 +233,22 @@ def _run_hilbert(opt) -> str:
 def _run_reexpand(opt) -> str:
     a = _load(opt["input"])
     nd = a.as_nd() if isinstance(a, Coeff1D) else a
-    try:
-        eta = ParityVector.from_string(opt["parity"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    eta = ParityVector.from_string(opt["parity"])
     if len(eta) != nd.ndim:
         raise UsageError(f"--parity has {len(eta)} axes, input has {nd.ndim}")
     q = _parse_weight(opt["weight"], nd.ndim)
     box = _parse_box(opt["box"])
     if len(box) != nd.ndim:
         raise UsageError(f"--box has {len(box)} axes, input has {nd.ndim}")
-    try:
-        spec = _reexpand.ReexpandSpec(
-            eta=eta,
-            q=q,
-            output_box=tuple(box),
-            subtract_mean=opt["subtract_mean"],
-            boundary_tol=opt["boundary_tol"],
-        )
-        res = None if q.is_zero else _reexpand.reexpand_weighted(nd, spec, opt["algorithm"])
-        out = _reexpand.reexpand_nd(nd, spec, opt["algorithm"]) if res is None else res.raw
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = _reexpand.ReexpandSpec(
+        eta=eta,
+        q=q,
+        output_box=tuple(box),
+        subtract_mean=opt["subtract_mean"],
+        boundary_tol=opt["boundary_tol"],
+    )
+    res = None if q.is_zero else _reexpand.reexpand_weighted(nd, spec, opt["algorithm"])
+    out = _reexpand.reexpand_nd(nd, spec, opt["algorithm"]) if res is None else res.raw
     _save(out, opt["output"])
     extra = ""
     if res is not None:
@@ -270,14 +263,8 @@ def _run_sufficiency(opt) -> str:
     windows = _parse_int_list(opt["windows"], "--windows")
     q = _parse_weight(opt["weight"], 1)
     if not q.is_zero:
-        try:
-            a = weight_apply(a, q)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    try:
-        report = _reexpand.summability_report(a, opt["kind"], windows, opt["algorithm"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        a = weight_apply(a, q)
+    report = _reexpand.summability_report(a, opt["kind"], windows, opt["algorithm"])
     emit_report(report, opt["output"])
     print(
         f"verdict={report.verdict_hint} moments=({report.moment_sum:.6g}, "
@@ -372,10 +359,10 @@ def run(invocation: CliInvocation) -> int:
     t0 = time.perf_counter()
     try:
         summary = _RUNNERS[invocation.subcommand](invocation.options)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

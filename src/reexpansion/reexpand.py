@@ -49,6 +49,7 @@ from .sequences import (
     _as_nd,
     _node_chunks,
     _phase_rows,
+    _refined,
     boundary_vanish_check,
     gauss_legendre_grid,
     l1_norm,
@@ -375,14 +376,7 @@ def quadrature_oracle_box(
             f"quadrature oracle needs {need / 1e9:.1f} GB of basis values on one axis "
             f"(work cap {_ORACLE_MAX_BYTES / 1e9:g} GB); use a smaller support or box"
         )
-    coarse = _oracle_values(nd, eta, q, box, panel_counts)
-    fine = _oracle_values(nd, eta, q, box, [2 * p for p in panel_counts])
-    err = float(np.max(np.abs(coarse - fine)))
-    if err > tol:
-        raise RuntimeError(
-            f"quadrature failed to confirm tolerance {tol:g} "
-            f"(refinement moved results by {err:.3e})"
-        )
+    fine = _refined(lambda r: _oracle_values(nd, eta, q, box, [r * p for p in panel_counts]), tol)
     return CoeffND(tuple(lo for lo, _ in box), fine)
 
 
@@ -423,10 +417,6 @@ class SummabilityReport:
     log_weighted: float
     tail_hint: float
     verdict_hint: str
-
-    @property
-    def partial_norms(self) -> tuple[tuple[int, float], ...]:
-        return tuple(zip(self.windows, self.norms))
 
     def rows(self):
         """(window, norm, increment) rows for tabular output."""

@@ -404,6 +404,22 @@ def gauss_legendre_grid(lo: float, hi: float, panels: int) -> tuple[np.ndarray, 
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
+def _refined(integrate, tol: float):
+    """integrate(2), once integrate(1) confirms it within ``tol``.
+
+    ``integrate(r)`` is a quadrature with r times its base panel count;
+    a largest absolute gap beyond ``tol`` raises RuntimeError.
+    """
+    coarse, fine = integrate(1), integrate(2)
+    gap = float(np.max(np.abs(coarse - fine)))
+    if gap > tol:
+        raise RuntimeError(
+            f"quadrature failed to confirm tolerance {tol:g} "
+            f"(refinement moved results by {gap:.3e})"
+        )
+    return fine
+
+
 def _node_chunks(nodes: int, rows: int, elems: int):
     """Slices covering range(nodes), each short enough that a rows x chunk
     phase table holds at most ``elems`` entries (one node at least)."""

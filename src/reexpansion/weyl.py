@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .hilbert import dht_full
-from .sequences import Coeff1D, _node_chunks, _phase_rows, gauss_legendre_grid
+from .sequences import Coeff1D, _node_chunks, _phase_rows, _refined, gauss_legendre_grid
 
 __all__ = [
     "RootSystem",
@@ -301,8 +301,8 @@ def character_coeff_quadrature(a: Coeff1D, l, tol: float = 1e-10) -> complex:
     kmax = int(np.max(np.abs(a.indices()))) if len(a) else 0
     panels = 4 * (kmax + two_l + 3)
 
-    def integrate(p):
-        t, wt = gauss_legendre_grid(-np.pi, np.pi, p)
+    def integrate(refine):
+        t, wt = gauss_legendre_grid(-np.pi, np.pi, refine * panels)
         g = su2_character(l, t) * (2.0 - 2.0 * np.cos(2.0 * t)) * wt
         moments = np.zeros(len(a), dtype=np.complex128)  # sum_t e^{ikt} g(t), per k
         # a table no larger than one node-length array: memory stays O(nodes)
@@ -310,14 +310,7 @@ def character_coeff_quadrature(a: Coeff1D, l, tol: float = 1e-10) -> complex:
             moments += _phase_rows(a.offset, len(a), t[c]) @ g[c]
         return a.values @ moments / (2.0 * np.pi)
 
-    coarse = integrate(panels)
-    fine = integrate(2 * panels)
-    if abs(coarse - fine) > tol:
-        raise RuntimeError(
-            f"character quadrature did not confirm tolerance {tol:g} "
-            f"(moved by {abs(coarse - fine):.3e})"
-        )
-    return complex(fine / (_SU2_WEYL_ORDER * d))
+    return complex(_refined(integrate, tol) / (_SU2_WEYL_ORDER * d))
 
 
 @dataclass(frozen=True)
@@ -379,11 +372,17 @@ def condition_q1_sum(
 ) -> list[float]:
     """Cumulative sums of d_pi * sum_m |diagonal value| over l <= lmax.
 
-    One partial sum per l in 0, 1/2, 1, ..., lmax (indexed by 2l).
+    One partial sum per l in 0, 1/2, 1, ..., lmax (indexed by 2l).  In
+    character mode the d_pi diagonal values all equal c_l, so level 2l
+    adds d_pi^2 |c_l|.
     """
-    diagonals = _diagonals(a, _two_l(lmax), denom, mode)
-    terms = [(two_l + 1) * np.sum(np.abs(vals)) for two_l, vals in enumerate(diagonals)]
-    return np.cumsum(terms).tolist()
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    two_lmax = _two_l(lmax)
+    if mode == "paper":
+        return _partial_sums(np.abs(_inner(a, denom, two_lmax)), two_lmax, two_lmax)
+    d = np.arange(1, two_lmax + 2)
+    return np.cumsum(d * d * np.abs(_character_coeffs(a, two_lmax))).tolist()
 
 
 def _partial_sums(x: np.ndarray, center: int, two_lmax: int) -> list[float]:
@@ -434,14 +433,10 @@ def q2_diagnostic(
     bound = 2 * two_lmax + 8
     g = Coeff1D(-bound, _inner(a, denom, bound))
     hg = np.abs(dht_full(g, (-bound, bound)).values)
-    if mode == "paper":  # the paper-mode diagonals are slices of the same g
-        plain_side = _partial_sums(np.abs(g.values), bound, two_lmax)
-    else:
-        plain_side = condition_q1_sum(a, lmax, denom, mode)
     return Q2Diagnostic(
         two_l=tuple(range(two_lmax + 1)),
         hilbert_side=tuple(_partial_sums(hg, bound, two_lmax)),
-        plain_side=tuple(plain_side),
+        plain_side=tuple(condition_q1_sum(a, lmax, denom, mode)),
         parity=parity,
     )
 

@@ -13,7 +13,8 @@ from reexpansion import (
     save_sequence,
     summability_report,
 )
-from reexpansion.cli import emit_report, main, parse_args
+from reexpansion import cli
+from reexpansion.cli import CliInvocation, UsageError, emit_report, main, parse_args, run
 
 
 @pytest.fixture
@@ -318,6 +319,35 @@ def test_unwritable_output_is_one_error_line(tmp_path, impulse_file, capsys, arg
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (UsageError, 2, "usage error: "),
+    (ValueError, 2, "usage error: "),
+    (RuntimeError, 1, "error: "),
+    (MemoryError, 1, "error: out of memory: "),
+], ids=["usage", "value", "runtime", "memory"])
+def test_run_maps_exceptions_to_exit_codes(monkeypatch, capsys, exc, code, prefix):
+    def runner(opt):
+        raise exc("boom")
+
+    monkeypatch.setitem(cli._RUNNERS, "boom", runner)
+    assert run(CliInvocation("boom", {})) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"{prefix}boom\n" and captured.out == ""
+
+
+def test_non_finite_result_is_computation_error(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    save_sequence(Coeff1D(0, [1.7e308, 1.7e308]), str(path))
+    out = tmp_path / "o.json"
+    with np.errstate(all="ignore"):  # the overflow itself is the fixture
+        code = main(["hilbert", "--input", str(path), "--kind", "full",
+                     "--range", "2:2", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {out}: values must be finite, found NaN or infinity\n" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
 
 def test_sequence_roundtrip_bitexact(tmp_path):

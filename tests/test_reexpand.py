@@ -233,7 +233,7 @@ class TestQuadratureOracle:
             np.testing.assert_allclose(got.values, sin_to_cos(a, (0, 20)).values, atol=1e-10)
 
     def test_unreachable_tolerance_fails_loudly(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="quadrature failed to confirm tolerance 0 "):
             quadrature_oracle(E1, COS, Q0, 2, tol=0.0)
 
     @pytest.mark.parametrize("a", [E1, Coeff1D(0, [0.0])], ids=["impulse", "zero"])

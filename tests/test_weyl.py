@@ -246,6 +246,11 @@ class TestCharacterCoeff:
             l = Fraction(two_l, 2)
             np.testing.assert_allclose(character_coeff_quadrature(a, l), character_coeff(a, l), atol=1e-12)
 
+    def test_quadrature_unreachable_tolerance_fails_loudly(self):
+        a = Coeff1D(-6, np.random.default_rng(3).standard_normal(13))
+        with pytest.raises(RuntimeError, match="quadrature failed to confirm tolerance 0 "):
+            character_coeff_quadrature(a, 1, tol=0.0)
+
     def test_orthonormality_exact_rational(self):
         # (1/|W|) (1/2pi) int chi_l chi_l' |Delta|^2 = delta_{ll'},
         # evaluated in exact integer arithmetic from the finite supports.
@@ -339,6 +344,10 @@ class TestConditionQ1:
             expected.append(acc)
         np.testing.assert_allclose(sums, expected, atol=1e-12)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            condition_q1_sum(E0, 1, DNN, "bogus")
+
 
 class TestQ2Diagnostic:
     def test_zero_sequence(self):
@@ -373,14 +382,24 @@ class TestQ2Diagnostic:
         d = q2_diagnostic(chi_restriction(1), 10, DNN, mode="character")
         np.testing.assert_allclose(d.plain_side[2:], [3.0] * 19, atol=1e-13)
 
-    @pytest.mark.parametrize("lmax", [0, 0.5, 7.5, 20])
-    def test_paper_plain_side_is_condition_q1_sum(self, lmax):
+    @pytest.mark.parametrize("lmax, mode", [  # paper cases keep their ids
+        pytest.param(lmax, mode, id=str(lmax) if mode == "paper" else f"{lmax}-{mode}")
+        for mode in ("paper", "character") for lmax in (0, 0.5, 7.5, 20)
+    ])
+    def test_paper_plain_side_is_condition_q1_sum(self, lmax, mode):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(41)
         a = Coeff1D(-20, v + v[::-1])
-        d = q2_diagnostic(a, lmax, DNN)
+        d = q2_diagnostic(a, lmax, DNN, mode)
         assert isinstance(d.plain_side, tuple) and isinstance(d.hilbert_side, tuple)
-        np.testing.assert_allclose(d.plain_side, condition_q1_sum(a, lmax, DNN), rtol=1e-13)
+        sums = condition_q1_sum(a, lmax, DNN, mode)
+        np.testing.assert_allclose(d.plain_side, sums, rtol=1e-13)
+        # the per-level definition: d_pi sum_m |diagonal value|, summed in order
+        levels = [
+            (two_l + 1) * np.sum(np.abs(diag_fourier_coeff(a, Fraction(two_l, 2), DNN, mode)))
+            for two_l in range(int(2 * lmax) + 1)
+        ]
+        np.testing.assert_allclose(sums, np.cumsum(levels), rtol=1e-13)
 
     def test_warns_on_non_even_input(self):
         with pytest.warns(UserWarning):
