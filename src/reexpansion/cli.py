@@ -9,13 +9,14 @@ identical invocations produce byte-identical artifacts.
 Exit status: 0 on success, 2 on usage errors (bad flags, malformed
 values or input files, dimension mismatches against the loaded
 input, any input the library refuses with a ``ValueError``), 1 on
-computation errors, out of memory included.
+computation errors: out of memory, or a NaN or infinity in an output.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import re
 import sys
 import time
@@ -146,13 +147,16 @@ def _load(path: str):
 def _writing(path: str):
     """Turn an OSError while writing ``path`` into one RuntimeError naming
     ``path`` (not the temp file the atomic writer uses).  A result the
-    writer refuses as non-finite is a computation error too."""
+    writer refuses as non-finite is a computation error too, and so is
+    a number :func:`_fmt` refuses."""
     try:
         yield
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise RuntimeError(str(exc)) from exc
+    except FloatingPointError as exc:
+        raise RuntimeError(f"{path}: {exc}") from exc
 
 
 def _save(a, path: str) -> None:
@@ -161,43 +165,46 @@ def _save(a, path: str) -> None:
 
 
 def _fmt(x: float) -> str:
+    """17 significant digits; FloatingPointError for a NaN or infinity."""
+    if not math.isfinite(x):
+        raise FloatingPointError("values must be finite, found NaN or infinity")
     return f"{x:.17g}"
 
 
 def emit_report(data, path: str) -> None:
-    """Write a report as CSV with a fixed header per data kind."""
-    if isinstance(data, _reexpand.SummabilityReport):
-        lines = ["window,norm,increment"]
-        for w, n, i in data.rows():
-            lines.append(f"{w},{_fmt(n)},{_fmt(i)}")
-    elif isinstance(data, _weyl.CentralCoeffTable):
-        lines = ["two_l,dim,weight,value_re,value_im,mode,convention"]
-        for two_l, dim, mu, re, im, mode, conv in data.rows():
-            lines.append(f"{two_l},{dim},{mu},{_fmt(re)},{_fmt(im)},{mode},{conv}")
-    elif isinstance(data, _weyl.Q2Diagnostic):
-        lines = ["two_l,hilbert_side,plain_side,ratio"]
-        for tl, h, pl, rat in zip(data.two_l, data.hilbert_side, data.plain_side, data.ratio):
-            lines.append(f"{tl},{_fmt(h)},{_fmt(pl)},{_fmt(rat)}")
-    elif isinstance(data, list) and data and isinstance(data[0], dict):  # bench rows
-        cols = list(data[0])
-        lines = [",".join(cols)]
-        for row in data:
-            lines.append(",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols))
-    elif isinstance(data, list):  # partial sums
-        lines = ["two_l,partial_sum"]
-        for two_l, v in enumerate(data):
-            lines.append(f"{two_l},{_fmt(v)}")
-    else:
-        raise TypeError(f"no CSV writer for {type(data).__name__}")
+    """Write a report as CSV with a fixed header per data kind.  A NaN or
+    infinity, but for the q2 ratio over a zero plain side, is refused with
+    a RuntimeError naming ``path``, and nothing is written."""
     with _writing(path), atomic_open(path) as fh:
+        if isinstance(data, _reexpand.SummabilityReport):
+            lines = ["window,norm,increment"]
+            for w, n, i in data.rows():
+                lines.append(f"{w},{_fmt(n)},{_fmt(i)}")
+        elif isinstance(data, _weyl.CentralCoeffTable):
+            lines = ["two_l,dim,weight,value_re,value_im,mode,convention"]
+            for two_l, dim, mu, re, im, mode, conv in data.rows():
+                lines.append(f"{two_l},{dim},{mu},{_fmt(re)},{_fmt(im)},{mode},{conv}")
+        elif isinstance(data, _weyl.Q2Diagnostic):
+            lines = ["two_l,hilbert_side,plain_side,ratio"]
+            for tl, h, pl, rat in zip(data.two_l, data.hilbert_side, data.plain_side, data.ratio):
+                lines.append(f"{tl},{_fmt(h)},{_fmt(pl)},{_fmt(rat) if pl > 0 else 'nan'}")
+        elif isinstance(data, list) and data and isinstance(data[0], dict):  # bench rows
+            cols = list(data[0])
+            lines = [",".join(cols)]
+            for row in data:
+                lines.append(",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols))
+        elif isinstance(data, list):  # partial sums
+            lines = ["two_l,partial_sum"]
+            for two_l, v in enumerate(data):
+                lines.append(f"{two_l},{_fmt(v)}")
+        else:
+            raise TypeError(f"no CSV writer for {type(data).__name__}")
         fh.write("\n".join(lines) + "\n")
 
 
-def _require_1d(a, what: str) -> Coeff1D:
-    if isinstance(a, CoeffND):
-        if a.ndim != 1:
-            raise UsageError(f"{what} needs a 1-D sequence, input has {a.ndim} axes")
-        return a.as_coeff1d()
+def _require_1d(a: CoeffND, what: str) -> CoeffND:
+    if a.ndim != 1:
+        raise UsageError(f"{what} needs a 1-D sequence, input has {a.ndim} axes")
     return a
 
 
@@ -231,8 +238,7 @@ def _run_hilbert(opt) -> str:
 
 
 def _run_reexpand(opt) -> str:
-    a = _load(opt["input"])
-    nd = a.as_nd() if isinstance(a, Coeff1D) else a
+    nd = _load(opt["input"])
     eta = ParityVector.from_string(opt["parity"])
     if len(eta) != nd.ndim:
         raise UsageError(f"--parity has {len(eta)} axes, input has {nd.ndim}")
@@ -282,14 +288,16 @@ def _run_su2(opt) -> str:
         raise UsageError(f"--lmax is required for --op {op}")
     if op == "sufficiency":
         value = _weyl.su2_sufficiency(a)
-        print(_fmt(value))
+        with _writing("standard output"):
+            print(_fmt(value))
         return "op=sufficiency"
     if op == "character":
         if opt["level"] is None:
             raise UsageError("--l is required for --op character")
         l = _parse_half_integer(opt["level"], "--l")
         value = _weyl.character_coeff(a, l)
-        print(f"{_fmt(value.real)} {_fmt(value.imag)}")
+        with _writing("standard output"):
+            print(f"{_fmt(value.real)} {_fmt(value.imag)}")
         return f"op=character l={opt['level']}"
     lmax = _parse_half_integer(opt["lmax"], "--lmax")
     if opt["output"] is None:
@@ -358,7 +366,9 @@ def run(invocation: CliInvocation) -> int:
     """Dispatch an invocation; returns the process exit status."""
     t0 = time.perf_counter()
     try:
-        summary = _RUNNERS[invocation.subcommand](invocation.options)
+        # every number written is checked, so numpy's own warnings add nothing
+        with np.errstate(all="ignore"):
+            summary = _RUNNERS[invocation.subcommand](invocation.options)
     except ValueError as exc:  # UsageError included
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

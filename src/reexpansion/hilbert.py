@@ -47,7 +47,8 @@ per output parity on the half-length sublattice at odd lag.
 
 Transforms of finitely supported sequences generally have infinite
 support, so the caller always supplies an explicit inclusive output
-window.
+window.  The one-dimensional entry points take and return a 1-D
+``CoeffND`` (as built by ``Coeff1D``); the n-D ones take any block.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sequences import Coeff1D, CoeffND, ParityVector, window_axis
+from .sequences import CoeffND, ParityVector, window_axis
 
 __all__ = [
     "KINDS",
@@ -292,41 +293,43 @@ def _sweep(a: CoeffND, kinds, box, algorithm: str, floors) -> CoeffND:
     return nd
 
 
-def _run_1d(a: Coeff1D, kind: str, lo: int, hi: int, algorithm: str) -> Coeff1D:
+def _run_1d(a: CoeffND, kind: str, lo: int, hi: int, algorithm: str) -> CoeffND:
+    if a.ndim != 1:
+        raise ValueError(f"a 1-D transform needs a 1-D sequence, input has {a.ndim} axes")
     floors = (None if kind == "full" else 1,)
-    return _sweep(a.as_nd(), (kind,), [(lo, hi)], algorithm, floors).as_coeff1d()
+    return _sweep(a, (kind,), [(lo, hi)], algorithm, floors)
 
 
-def dht_full(a: Coeff1D, out_range: tuple[int, int], algorithm: str = "fast") -> Coeff1D:
+def dht_full(a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast") -> CoeffND:
     """Full discrete Hilbert transform over an inclusive output window."""
     return _run_1d(a, "full", out_range[0], out_range[1], algorithm)
 
 
-def dht_even(a: Coeff1D, out_range: tuple[int, int], algorithm: str = "fast") -> Coeff1D:
+def dht_even(a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast") -> CoeffND:
     """Even-sequence kernel; output indices must satisfy n >= 1."""
     return _run_1d(a, "even", out_range[0], out_range[1], algorithm)
 
 
-def dht_odd(a: Coeff1D, out_range: tuple[int, int], algorithm: str = "fast") -> Coeff1D:
+def dht_odd(a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast") -> CoeffND:
     """Odd-sequence kernel; output indices must satisfy n >= 0."""
     return _run_1d(a, "odd", out_range[0], out_range[1], algorithm)
 
 
 def dht_even_halved(
-    a: Coeff1D, out_range: tuple[int, int], algorithm: str = "fast"
-) -> Coeff1D:
+    a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast"
+) -> CoeffND:
     """Parity-restricted (k - n odd) even kernel, without the 2/pi prefactor."""
     return _run_1d(a, "even_halved", out_range[0], out_range[1], algorithm)
 
 
 def dht_odd_halved(
-    a: Coeff1D, out_range: tuple[int, int], algorithm: str = "fast"
-) -> Coeff1D:
+    a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast"
+) -> CoeffND:
     """Parity-restricted (k - n odd) odd kernel, without the 2/pi prefactor."""
     return _run_1d(a, "odd_halved", out_range[0], out_range[1], algorithm)
 
 
-def transform(a: Coeff1D, request: TransformRequest) -> Coeff1D:
+def transform(a: CoeffND, request: TransformRequest) -> CoeffND:
     """Dispatch a TransformRequest to the matching kernel."""
     lo, hi = request.output_range
     return _run_1d(a, request.kind, lo, hi, request.algorithm)

@@ -41,12 +41,10 @@ from . import hilbert
 from .hilbert import KINDS, dht_even_halved, dht_odd_halved
 from .sequences import (
     BoundaryReport,
-    Coeff1D,
     CoeffND,
     GL_NODES,
     ParityVector,
     WeightExponent,
-    _as_nd,
     _node_chunks,
     _phase_rows,
     _refined,
@@ -119,8 +117,8 @@ class ReexpandSpec:
 
 
 def cos_to_sin(
-    a: Coeff1D, out_range: tuple[int, int], algorithm: str = "fast"
-) -> Coeff1D:
+    a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast"
+) -> CoeffND:
     """Sine coefficients of a function given by a cosine series.
 
     b_n = (2/pi) sum_{k-n odd} a_k (1/(n+k) + 1/(n-k)), n >= 1.
@@ -129,8 +127,8 @@ def cos_to_sin(
 
 
 def sin_to_cos(
-    a: Coeff1D, out_range: tuple[int, int], algorithm: str = "fast"
-) -> Coeff1D:
+    a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast"
+) -> CoeffND:
     """Cosine coefficients of a function given by a sine series.
 
     b_n = (2/pi) sum_{k-n odd} a_k (1/(n+k) + 1/(k-n)), n >= 0; the
@@ -174,14 +172,13 @@ def reexpand_nd(a, spec: ReexpandSpec, algorithm: str = "fast") -> CoeffND:
     """
     if not spec.q.is_zero:
         raise ValueError("reexpand_nd handles q = 0 only; use reexpand_weighted")
-    nd = _as_nd(a)
-    if nd.ndim != len(spec.eta):
-        raise ValueError(f"input has {nd.ndim} axes, spec has {len(spec.eta)}")
-    floors = (0 if spec.subtract_mean else 1,) * nd.ndim  # subtract_mean keeps index 0
+    if a.ndim != len(spec.eta):
+        raise ValueError(f"input has {a.ndim} axes, spec has {len(spec.eta)}")
+    floors = (0 if spec.subtract_mean else 1,) * a.ndim  # subtract_mean keeps index 0
     if spec.subtract_mean:
-        nd = _subtract_face_means(hilbert._one_sided(nd, floors), spec.eta)
-    out = hilbert._mixed(nd, spec.eta, spec.output_box, algorithm, floors)
-    return out.scaled(TWO_OVER_PI ** nd.ndim)
+        a = _subtract_face_means(hilbert._one_sided(a, floors), spec.eta)
+    out = hilbert._mixed(a, spec.eta, spec.output_box, algorithm, floors)
+    return out.scaled(TWO_OVER_PI ** a.ndim)
 
 
 @dataclass(frozen=True)
@@ -226,14 +223,13 @@ def reexpand_weighted(a, spec: ReexpandSpec, algorithm: str = "fast") -> Weighte
     precondition is checked at ``spec.boundary_tol`` and reported, not
     enforced.
     """
-    nd = _as_nd(a)
     eta, q = spec.eta, spec.q
-    if nd.ndim != len(eta):
-        raise ValueError(f"input has {nd.ndim} axes, spec has {len(eta)}")
+    if a.ndim != len(eta):
+        raise ValueError(f"input has {a.ndim} axes, spec has {len(eta)}")
     if spec.subtract_mean:
         raise ValueError("subtract_mean is only defined for the unweighted map")
 
-    report = boundary_vanish_check(nd, eta, q, spec.boundary_tol)
+    report = boundary_vanish_check(a, eta, q, spec.boundary_tol)
     warnings: list[str] = []
     if not report.passed:
         bad = [c for c in report.checks if not c.passed]
@@ -243,14 +239,14 @@ def reexpand_weighted(a, spec: ReexpandSpec, algorithm: str = "fast") -> Weighte
             "the coefficient identity with the re-expansion of f is not guaranteed"
         )
 
-    weighted = weight_apply(nd, q)
+    weighted = weight_apply(a, q)
     eta_eff = ParityVector(
         tuple(b ^ (qj % 2) for b, qj in zip(eta.bits, q.exponents))
     )
     sign = -1.0 if sum(qj % 2 for qj in q.exponents) % 2 else 1.0
     inner = ReexpandSpec(
         eta=eta_eff,
-        q=WeightExponent.zero(nd.ndim),
+        q=WeightExponent.zero(a.ndim),
         output_box=spec.output_box,
         subtract_mean=False,
         boundary_tol=spec.boundary_tol,
@@ -352,31 +348,31 @@ def quadrature_oracle_box(
     would pass 1 GB is refused with a ``ValueError`` before any basis
     is evaluated.
     """
-    nd = _as_nd(a).trim()
-    d = nd.ndim
+    a = a.trim()
+    d = a.ndim
     if len(eta) != d or len(q) != d:
         raise ValueError("eta/q dimensions must match the input")
     box = hilbert._normalize_box(box, d)
     if None in box:
         raise ValueError(f"axis {box.index(None)} needs a window")
-    if nd.values.size == 0:
+    if a.values.size == 0:
         shape = tuple(hi - lo + 1 for lo, hi in box)
         return CoeffND(tuple(lo for lo, _ in box), np.zeros(shape, np.complex128))
     panel_counts = []
     for ax in range(d):
-        kmax = int(np.max(np.abs(nd.axis_indices(ax))))
+        kmax = int(np.max(np.abs(a.axis_indices(ax))))
         mmax = max(abs(box[ax][0]), abs(box[ax][1]))
         panel_counts.append(PANELS_PER_UNIT * (kmax + mmax + 1))
     need = max(
         (size + hi - lo + 1) * GL_NODES * 2 * panels * 8
-        for size, (lo, hi), panels in zip(nd.values.shape, box, panel_counts)
+        for size, (lo, hi), panels in zip(a.values.shape, box, panel_counts)
     )
     if need > _ORACLE_MAX_BYTES:
         raise ValueError(
             f"quadrature oracle needs {need / 1e9:.1f} GB of basis values on one axis "
             f"(work cap {_ORACLE_MAX_BYTES / 1e9:g} GB); use a smaller support or box"
         )
-    fine = _refined(lambda r: _oracle_values(nd, eta, q, box, [r * p for p in panel_counts]), tol)
+    fine = _refined(lambda r: _oracle_values(a, eta, q, box, [r * p for p in panel_counts]), tol)
     return CoeffND(tuple(lo for lo, _ in box), fine)
 
 
@@ -449,7 +445,7 @@ def _verdict(windows, norms) -> str:
 
 
 def summability_report(
-    a: Coeff1D,
+    a: CoeffND,
     kind: str,
     windows: Sequence[int],
     algorithm: str = "fast",

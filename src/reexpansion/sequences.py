@@ -1,9 +1,11 @@
 """Finitely supported trigonometric coefficient sequences.
 
-The basic objects are :class:`Coeff1D` (a complex sequence over a
-contiguous integer window) and :class:`CoeffND` (its d-dimensional
-analogue, a dense complex block with one integer offset per axis).
-Everything outside the stored block is implicitly zero.  On top of the
+There is one sequence type, :class:`CoeffND`: a dense complex block
+with one integer offset per axis, zero outside the block, whose
+``support`` is one inclusive (lo, hi) window per axis.  A sequence over
+the integers is the case d = 1, and ``Coeff1D(offset, values)`` is its
+constructor; ``as_nd()`` is kept as the identity, and
+:func:`load_sequence` always returns a ``CoeffND``.  On top of the
 data model this module provides the weighting map ``a_k -> k^q a_k``,
 the log-weighted sufficiency sums, direct evaluation of the associated
 sine/cosine series, boundary (face) vanishing diagnostics, and what
@@ -25,7 +27,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -48,88 +50,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Coeff1D:
-    """A finitely supported complex sequence over the integers.
-
-    ``values[i]`` is the coefficient at integer index ``offset + i``;
-    indices outside ``[offset, offset + len(values))`` are zero.
-    """
-
-    offset: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128).reshape(-1)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "offset", int(self.offset))
-
-    @classmethod
-    def from_dict(cls, entries: Mapping[int, complex]) -> "Coeff1D":
-        """Build a sequence from an ``{index: value}`` mapping."""
-        if not entries:
-            return cls(0, np.zeros(0))
-        lo, hi = min(entries), max(entries)
-        vals = np.zeros(hi - lo + 1, dtype=np.complex128)
-        for k, v in entries.items():
-            vals[k - lo] = v
-        return cls(lo, vals)
-
-    @classmethod
-    def impulse(cls, k: int, value: complex = 1.0) -> "Coeff1D":
-        """The unit impulse e_k (single entry ``value`` at index ``k``)."""
-        return cls(k, np.array([value]))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k: int) -> complex:
-        """Coefficient at integer index ``k`` (0 outside the block)."""
-        i = k - self.offset
-        if 0 <= i < len(self.values):
-            return complex(self.values[i])
-        return 0.0 + 0.0j
-
-    def indices(self) -> np.ndarray:
-        return self.offset + np.arange(len(self.values))
-
-    @property
-    def support(self) -> tuple[int, int]:
-        """Inclusive index window ``(lo, hi)`` of the stored block."""
-        return self.offset, self.offset + len(self.values) - 1
-
-    def trim(self) -> "Coeff1D":
-        """Drop leading/trailing zero entries.  Idempotent."""
-        nz = np.nonzero(self.values)[0]
-        if len(nz) == 0:
-            return Coeff1D(0, np.zeros(0))
-        lo, hi = nz[0], nz[-1]
-        return Coeff1D(self.offset + int(lo), self.values[lo : hi + 1].copy())
-
-    def scaled(self, c: complex) -> "Coeff1D":
-        return Coeff1D(self.offset, c * self.values)
-
-    def __add__(self, other: "Coeff1D") -> "Coeff1D":
-        if len(self) == 0:
-            return other
-        if len(other) == 0:
-            return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.support[1], other.support[1])
-        vals = np.zeros(hi - lo + 1, dtype=np.complex128)
-        vals[self.offset - lo : self.offset - lo + len(self)] += self.values
-        vals[other.offset - lo : other.offset - lo + len(other)] += other.values
-        return Coeff1D(lo, vals)
-
-    def as_nd(self) -> "CoeffND":
-        return CoeffND((self.offset,), self.values.reshape(-1))
-
-
-@dataclass(frozen=True)
 class CoeffND:
     """A finitely supported d-dimensional coefficient block.
 
     ``values`` is a dense complex array; entry ``values[i1, ..., id]``
     carries multi-index ``(offsets[0] + i1, ..., offsets[-1] + id)``.
+    A sequence over the integers is the case d = 1, built by :class:`Coeff1D`;
+    ``offset``, ``indices()`` and ``+`` are defined for it alone.
     """
 
     offsets: tuple[int, ...]
@@ -148,18 +75,6 @@ class CoeffND:
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def from_dict(cls, d: int, entries: Mapping[tuple, complex]) -> "CoeffND":
-        if not entries:
-            return cls((0,) * d, np.zeros((0,) * d))
-        keys = list(entries)
-        lo = tuple(min(k[j] for k in keys) for j in range(d))
-        hi = tuple(max(k[j] for k in keys) for j in range(d))
-        vals = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)), dtype=np.complex128)
-        for k, v in entries.items():
-            vals[tuple(kj - lj for kj, lj in zip(k, lo))] = v
-        return cls(lo, vals)
-
-    @classmethod
     def impulse(cls, index: Sequence[int], value: complex = 1.0) -> "CoeffND":
         return cls(tuple(index), np.full((1,) * len(tuple(index)), value))
 
@@ -170,6 +85,21 @@ class CoeffND:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.values.shape
+
+    @property
+    def offset(self) -> int:
+        """The offset of a 1-D block; ValueError for d > 1."""
+        if len(self.offsets) != 1:
+            raise ValueError(f"a {len(self.offsets)}-dimensional block has no single offset")
+        return self.offsets[0]
+
+    def __len__(self) -> int:
+        """Entries along the first axis: the length of a 1-D sequence."""
+        return len(self.values)
+
+    def indices(self) -> np.ndarray:
+        """The integer indices of a 1-D block."""
+        return self.offset + np.arange(len(self.values))
 
     def __getitem__(self, index) -> complex:
         if isinstance(index, (int, np.integer)):
@@ -184,7 +114,7 @@ class CoeffND:
     def axis_indices(self, axis: int) -> np.ndarray:
         return self.offsets[axis] + np.arange(self.values.shape[axis])
 
-    def slice1d(self, axis: int, fixed: Sequence[int]) -> Coeff1D:
+    def slice1d(self, axis: int, fixed: Sequence[int]) -> "CoeffND":
         """The 1-D sequence along ``axis`` with the other indices fixed.
 
         ``fixed`` lists the frozen integer indices of the remaining axes
@@ -207,6 +137,7 @@ class CoeffND:
 
     @property
     def support(self) -> tuple[tuple[int, int], ...]:
+        """Inclusive index window ``(lo, hi)`` of the stored block, per axis."""
         return tuple(
             (o, o + n - 1) for o, n in zip(self.offsets, self.values.shape)
         )
@@ -214,13 +145,13 @@ class CoeffND:
     def trim(self) -> "CoeffND":
         """Shrink the block to the smallest box containing all nonzeros."""
         nonzero = self.values != 0
-        if not nonzero.any():
-            return CoeffND((0,) * self.ndim, np.zeros((0,) * self.ndim))
         slices = []
         offs = []
         for ax in range(self.ndim):
             other = tuple(i for i in range(self.ndim) if i != ax)
             nz = np.flatnonzero(nonzero.any(axis=other) if other else nonzero)
+            if nz.size == 0:  # all zero: the empty block
+                return CoeffND((0,) * self.ndim, np.zeros((0,) * self.ndim))
             slices.append(slice(int(nz[0]), int(nz[-1]) + 1))
             offs.append(self.offsets[ax] + int(nz[0]))
         return CoeffND(tuple(offs), self.values[tuple(slices)].copy())
@@ -228,13 +159,45 @@ class CoeffND:
     def scaled(self, c: complex) -> "CoeffND":
         return CoeffND(self.offsets, c * self.values)
 
-    def as_coeff1d(self) -> Coeff1D:
-        if self.ndim != 1:
-            raise ValueError(f"cannot view a {self.ndim}-dimensional block as 1-D")
-        return Coeff1D(self.offsets[0], self.values.reshape(-1))
+    def __add__(self, other: "CoeffND") -> "CoeffND":
+        """Entrywise sum of two 1-D sequences over the union of their windows."""
+        if len(self) == 0:
+            return other
+        if len(other) == 0:
+            return self
+        lo = min(self.offset, other.offset)
+        hi = max(self.support[0][1], other.support[0][1])
+        vals = window_axis(self.values, self.offset, 0, lo, hi)
+        vals += window_axis(other.values, other.offset, 0, lo, hi)
+        return CoeffND((lo,), vals)
+
+    def as_nd(self) -> "CoeffND":
+        """The block itself; kept so that older callers still work."""
+        return self
 
 
-CoeffLike = Union[Coeff1D, CoeffND]
+class Coeff1D(CoeffND):
+    """The 1-D constructor of :class:`CoeffND`: ``Coeff1D(offset, values)``
+    holds ``values[i]`` (flattened) at integer index ``offset + i``."""
+
+    def __init__(self, offset: int, values):
+        super().__init__((offset,), np.asarray(values, dtype=np.complex128).reshape(-1))
+
+    @classmethod
+    def from_dict(cls, entries: Mapping[int, complex]) -> "Coeff1D":
+        """Build a sequence from an ``{index: value}`` mapping."""
+        if not entries:
+            return cls(0, np.zeros(0))
+        lo, hi = min(entries), max(entries)
+        vals = np.zeros(hi - lo + 1, dtype=np.complex128)
+        for k, v in entries.items():
+            vals[k - lo] = v
+        return cls(lo, vals)
+
+    @classmethod
+    def impulse(cls, k: int, value: complex = 1.0) -> "Coeff1D":
+        """The unit impulse e_k (single entry ``value`` at index ``k``)."""
+        return cls(k, np.array([value]))
 
 
 def window_axis(values: np.ndarray, offset: int, axis: int, lo: int, hi: int) -> np.ndarray:
@@ -249,10 +212,6 @@ def window_axis(values: np.ndarray, offset: int, axis: int, lo: int, hi: int) ->
         dst, src = out.swapaxes(0, axis), values.swapaxes(0, axis)
         dst[c_lo - lo : c_hi - lo] = src[c_lo - offset : c_hi - offset]
     return out
-
-
-def _as_nd(a: CoeffLike) -> CoeffND:
-    return a.as_nd() if isinstance(a, Coeff1D) else a
 
 
 @dataclass(frozen=True)
@@ -320,10 +279,9 @@ def _check_dim(d: int, obj, name: str) -> None:
         raise ValueError(f"{name} has length {len(obj)}, expected {d}")
 
 
-def l1_norm(a: CoeffLike) -> float:
+def l1_norm(a: CoeffND) -> float:
     """Sum of absolute values over the support; 0 iff a is zero."""
-    nd = _as_nd(a)
-    return float(np.sum(np.abs(nd.values)))
+    return float(np.sum(np.abs(a.values)))
 
 
 def _axis_weights(nd: CoeffND, q: WeightExponent) -> list[np.ndarray]:
@@ -335,50 +293,47 @@ def _axis_weights(nd: CoeffND, q: WeightExponent) -> list[np.ndarray]:
     return out
 
 
-def weight_apply(a: CoeffLike, q: WeightExponent) -> CoeffLike:
+def weight_apply(a: CoeffND, q: WeightExponent) -> CoeffND:
     """Multiply entrywise by k^q = prod_j k_j^{q_j}.
 
     Entries at k_j = 0 map to 0 when q_j > 0.  Entries at negative
     indices are rejected on any axis with q_j > 0 (the weighted theory
     lives on Z_+^d).
     """
-    nd = _as_nd(a)
-    _check_dim(nd.ndim, q, "weight exponent")
+    _check_dim(a.ndim, q, "weight exponent")
     if q.is_zero:
         return a
-    for ax in range(nd.ndim):
-        if q[ax] > 0 and np.any(np.moveaxis(nd.values, ax, 0)[: max(-nd.offsets[ax], 0)]):
+    for ax in range(a.ndim):
+        if q[ax] > 0 and np.any(np.moveaxis(a.values, ax, 0)[: max(-a.offsets[ax], 0)]):
             raise ValueError(
                 f"weight_apply with q[{ax}]={q[ax]} > 0 requires support in k >= 0 on that axis"
             )
-    vals = nd.values.copy()
-    for ax, w in enumerate(_axis_weights(nd, q)):
-        shape = [1] * nd.ndim
+    vals = a.values.copy()
+    for ax, w in enumerate(_axis_weights(a, q)):
+        shape = [1] * a.ndim
         shape[ax] = -1
         vals = vals * w.reshape(shape)
-    out = CoeffND(nd.offsets, vals)
-    return out.as_coeff1d() if isinstance(a, Coeff1D) else out
+    return CoeffND(a.offsets, vals)
 
 
-def log_weighted_sum(a: CoeffLike, q: WeightExponent) -> float:
+def log_weighted_sum(a: CoeffND, q: WeightExponent) -> float:
     """The sufficiency sum  sum_k k^q |a_k| prod_j ln(k_j + 1).
 
     Natural logarithm throughout.  Requires support in Z_+^d.
     """
-    nd = _as_nd(a)
-    _check_dim(nd.ndim, q, "weight exponent")
-    if nd.values.size == 0:
+    _check_dim(a.ndim, q, "weight exponent")
+    if a.values.size == 0:
         return 0.0
-    acc = np.abs(nd.values)
-    for ax in range(nd.ndim):
-        k = nd.axis_indices(ax).astype(float)
+    acc = np.abs(a.values)
+    for ax in range(a.ndim):
+        k = a.axis_indices(ax).astype(float)
         if k.size and k[0] < 0:
             if np.any(np.moveaxis(acc, ax, 0)[: int(-k[0])]):
                 raise ValueError("log_weighted_sum requires support in k >= 0")
         w = np.zeros_like(k)
         pos = k >= 0
         w[pos] = (k[pos] ** q[ax] if q[ax] > 0 else 1.0) * np.log(k[pos] + 1.0)
-        shape = [1] * nd.ndim
+        shape = [1] * a.ndim
         shape[ax] = -1
         acc = acc * w.reshape(shape)
     return float(np.sum(acc))
@@ -478,7 +433,7 @@ def _series_grid(nd: CoeffND, eta: ParityVector, q: WeightExponent, ts) -> np.nd
 
 
 def series_eval(
-    a: CoeffLike,
+    a: CoeffND,
     eta: ParityVector,
     q: WeightExponent,
     t: Sequence[float],
@@ -490,14 +445,13 @@ def series_eval(
     as an exact finite sum over the support.  Real-valued for real
     coefficients; the complex sum is returned as-is otherwise.
     """
-    nd = _as_nd(a)
-    d = nd.ndim
+    d = a.ndim
     _check_dim(d, eta, "parity vector")
     _check_dim(d, q, "weight exponent")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (d,):
         raise ValueError(f"evaluation point has shape {t.shape}, expected ({d},)")
-    return complex(_series_grid(nd, eta, q, t[:, None]).sum())
+    return complex(_series_grid(a, eta, q, t[:, None]).sum())
 
 
 @dataclass(frozen=True)
@@ -528,7 +482,7 @@ _FACE_PROBES = 17  # sample points per free axis when probing a face
 
 
 def boundary_vanish_check(
-    a: CoeffLike,
+    a: CoeffND,
     eta: ParityVector,
     q: WeightExponent,
     tol: float,
@@ -543,8 +497,7 @@ def boundary_vanish_check(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    nd = _as_nd(a)
-    d = nd.ndim
+    d = a.ndim
     _check_dim(d, eta, "parity vector")
     _check_dim(d, q, "weight exponent")
 
@@ -554,18 +507,18 @@ def boundary_vanish_check(
         for ax in range(d):
             ts = [grid] * d
             ts[ax] = np.array([0.0, np.pi])
-            both = np.abs(_series_grid(nd, eta, WeightExponent(s), ts))
+            both = np.abs(_series_grid(a, eta, WeightExponent(s), ts))
             for i, face in enumerate(ts[ax]):
                 worst = float(np.take(both, i, axis=ax).max())
                 checks.append(FaceCheck(tuple(s), ax, float(face), worst, worst <= tol))
 
-    total = complex(np.sum(nd.values))
+    total = complex(np.sum(a.values))
     moments = []
     for ax in range(d):
-        signs = (-1.0) ** (nd.axis_indices(ax) % 2)
+        signs = (-1.0) ** (a.axis_indices(ax) % 2)
         shape = [1] * d
         shape[ax] = -1
-        moments.append((total, complex(np.sum(nd.values * signs.reshape(shape)))))
+        moments.append((total, complex(np.sum(a.values * signs.reshape(shape)))))
     return BoundaryReport(tuple(checks), tuple(moments), float(tol))
 
 
@@ -596,7 +549,7 @@ def atomic_open(path: str):
         raise
 
 
-def save_sequence(a: CoeffLike, path: str) -> None:
+def save_sequence(a: CoeffND, path: str) -> None:
     """Write a sequence to ``path`` in the JSON interchange format.
 
     The write is atomic (temp file, then rename) and encodes values a
@@ -604,12 +557,11 @@ def save_sequence(a: CoeffLike, path: str) -> None:
     Raises ValueError naming ``path``, before writing, if a value is not
     finite, since ``load_sequence`` refuses such files.
     """
-    nd = _as_nd(a)
-    flat = nd.values.reshape(-1)
+    flat = a.values.reshape(-1)
     pairs = np.stack([flat.real, flat.imag], axis=1)
     if not np.isfinite(pairs).all():
         raise ValueError(f"{path}: values must be finite, found NaN or infinity")
-    head = json.dumps({"dims": list(nd.dims), "offsets": list(nd.offsets), "values": []})
+    head = json.dumps({"dims": list(a.dims), "offsets": list(a.offsets), "values": []})
     with atomic_open(path) as fh:
         fh.write(head[:-2])  # up to and including the values' "["
         for i in range(0, len(pairs), _CHUNK):
@@ -619,8 +571,8 @@ def save_sequence(a: CoeffLike, path: str) -> None:
         fh.write("]}\n")
 
 
-def load_sequence(path: str) -> CoeffLike:
-    """Read a sequence file; returns Coeff1D for dims of length 1, else CoeffND.
+def load_sequence(path: str) -> CoeffND:
+    """Read a sequence file as a :class:`CoeffND` with one axis per entry of dims.
 
     Raises ValueError naming ``path`` if the file is not JSON, is not a
     sequence document, or holds non-numeric or non-finite values.
@@ -644,5 +596,4 @@ def load_sequence(path: str) -> CoeffLike:
     arr = arr.astype(np.float64, copy=False).reshape(count, 2)
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: values must be finite, found NaN or infinity")
-    nd = CoeffND(tuple(offsets), arr.view(np.complex128).reshape(dims))
-    return nd.as_coeff1d() if len(dims) == 1 else nd
+    return CoeffND(tuple(offsets), arr.view(np.complex128).reshape(dims))

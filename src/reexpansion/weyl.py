@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .hilbert import dht_full
-from .sequences import Coeff1D, _node_chunks, _phase_rows, _refined, gauss_legendre_grid
+from .sequences import Coeff1D, CoeffND, _node_chunks, _phase_rows, _refined, gauss_legendre_grid
 
 __all__ = [
     "RootSystem",
@@ -225,7 +225,7 @@ def _require_rank1(denom: WeylDenomSq) -> None:
         raise ValueError("SU(2) operations need a rank-1 denominator table")
 
 
-def _window(a: Coeff1D, bound: int) -> np.ndarray:
+def _window(a: CoeffND, bound: int) -> np.ndarray:
     """a on -bound..bound as a dense array (zero outside the support)."""
     out = np.zeros(2 * bound + 1, dtype=np.complex128)
     lo, hi = max(a.offset, -bound), min(a.offset + len(a), bound + 1)
@@ -234,7 +234,7 @@ def _window(a: Coeff1D, bound: int) -> np.ndarray:
     return out
 
 
-def _inner(a: Coeff1D, denom: WeylDenomSq, bound: int) -> np.ndarray:
+def _inner(a: CoeffND, denom: WeylDenomSq, bound: int) -> np.ndarray:
     """g(mu) = (1/|W|) sum_nu D(nu) a[mu + nu] on -bound..bound.
 
     D is symmetric, so the correlation is the convolution of the window
@@ -246,14 +246,14 @@ def _inner(a: Coeff1D, denom: WeylDenomSq, bound: int) -> np.ndarray:
     return np.convolve(_window(a, bound + span), table, "valid") / _SU2_WEYL_ORDER
 
 
-def _character_coeffs(a: Coeff1D, two_lmax: int) -> np.ndarray:
+def _character_coeffs(a: CoeffND, two_lmax: int) -> np.ndarray:
     """c_l for every 2l in 0..two_lmax, by the telescoped closed form."""
     w = _window(a, two_lmax + 2)
     both = w[two_lmax + 2 :] + w[two_lmax + 2 :: -1]  # a_k + a_{-k}, k = 0..2 lmax + 2
     return (both[:-2] - both[2:]) / (_SU2_WEYL_ORDER * np.arange(1, two_lmax + 2))
 
 
-def _diagonals(a: Coeff1D, two_lmax: int, denom: WeylDenomSq, mode: str) -> list[np.ndarray]:
+def _diagonals(a: CoeffND, two_lmax: int, denom: WeylDenomSq, mode: str) -> list[np.ndarray]:
     """Diagonal Fourier data for every 2l in 0..two_lmax, indexed by 2l."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -263,7 +263,7 @@ def _diagonals(a: Coeff1D, two_lmax: int, denom: WeylDenomSq, mode: str) -> list
     return [g[two_lmax - t : two_lmax + t + 1 : 2] for t in range(two_lmax + 1)]
 
 
-def diag_fourier_coeff(a: Coeff1D, l, denom: WeylDenomSq, mode: str = "paper") -> np.ndarray:
+def diag_fourier_coeff(a: CoeffND, l, denom: WeylDenomSq, mode: str = "paper") -> np.ndarray:
     """Diagonal Fourier data of the central extension at highest weight l.
 
     mode "paper": value at weight mu_m is (1/|W|) sum_nu D(nu) a[mu_m + nu]
@@ -275,7 +275,7 @@ def diag_fourier_coeff(a: Coeff1D, l, denom: WeylDenomSq, mode: str = "paper") -
     return _diagonals(a, two_l, denom, mode)[two_l]
 
 
-def character_coeff(a: Coeff1D, l) -> complex:
+def character_coeff(a: CoeffND, l) -> complex:
     """Fourier coefficient of the central extension against the character.
 
     c_l = (1/d) (1/|W|) (1/2pi) integral of f(t) chi_l(t) |Delta(t)|^2
@@ -287,7 +287,7 @@ def character_coeff(a: Coeff1D, l) -> complex:
     return complex(_character_coeffs(a, two_l)[two_l])
 
 
-def character_coeff_quadrature(a: Coeff1D, l, tol: float = 1e-10) -> complex:
+def character_coeff_quadrature(a: CoeffND, l, tol: float = 1e-10) -> complex:
     """Numerical cross-check of :func:`character_coeff`.
 
     Composite Gauss-Legendre on [-pi, pi] with one confirming
@@ -347,7 +347,7 @@ class CentralCoeffTable:
 
 
 def ext_fourier_table(
-    a: Coeff1D, lmax, denom: WeylDenomSq, mode: str = "paper"
+    a: CoeffND, lmax, denom: WeylDenomSq, mode: str = "paper"
 ) -> CentralCoeffTable:
     """Assemble diagonal Fourier data for all highest weights up to lmax."""
     diagonals = _diagonals(a, _two_l(lmax), denom, mode)
@@ -368,7 +368,7 @@ def schatten_lp_norm(table: CentralCoeffTable, p: float) -> float:
 
 
 def condition_q1_sum(
-    a: Coeff1D, lmax, denom: WeylDenomSq, mode: str = "paper"
+    a: CoeffND, lmax, denom: WeylDenomSq, mode: str = "paper"
 ) -> list[float]:
     """Cumulative sums of d_pi * sum_m |diagonal value| over l <= lmax.
 
@@ -414,7 +414,7 @@ class Q2Diagnostic:
 
 
 def q2_diagnostic(
-    a: Coeff1D, lmax, denom: WeylDenomSq, mode: str = "paper"
+    a: CoeffND, lmax, denom: WeylDenomSq, mode: str = "paper"
 ) -> Q2Diagnostic:
     """Partial sums of d_pi sum_m |h g(mu_m)| against d_pi sum_m |g(mu_m)|.
 
@@ -441,7 +441,7 @@ def q2_diagnostic(
     )
 
 
-def su2_sufficiency(a: Coeff1D) -> float:
+def su2_sufficiency(a: CoeffND) -> float:
     """The SU(2) sufficiency sum over odd n: sum n ln(n) |a_n|.
 
     Entries at even or nonpositive indices do not enter; their total
@@ -467,7 +467,7 @@ class TelescopingResult:
     derived_form: complex
 
 
-def telescoping_sum(a: Coeff1D, l) -> TelescopingResult:
+def telescoping_sum(a: CoeffND, l) -> TelescopingResult:
     """The telescoping sum sum_{m=1}^{2l+1} (a_{m-2} - 2 a_m + a_{m+2}).
 
     ``brute`` is the literal summation; ``paper_form`` is the printed
@@ -499,7 +499,7 @@ def _tidy(z: complex):
     return z.real if z.imag == 0 else z
 
 
-def parity_check(a: Coeff1D, tol: float = 1e-12) -> str:
+def parity_check(a: CoeffND, tol: float = 1e-12) -> str:
     """Classify a two-sided sequence as even, odd, or neither.
 
     The zero sequence reports as even (it is both).
@@ -507,7 +507,7 @@ def parity_check(a: Coeff1D, tol: float = 1e-12) -> str:
     t = a.trim()
     if len(t) == 0:
         return "even"
-    w = _window(t, max(abs(x) for x in t.support))
+    w = _window(t, max(abs(x) for x in t.support[0]))
     if np.max(np.abs(w - w[::-1])) <= tol:
         return "even"
     if np.max(np.abs(w + w[::-1])) <= tol:

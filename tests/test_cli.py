@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,49 @@ def test_non_finite_result_is_computation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {out}: values must be finite, found NaN or infinity\n" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
+_BIG = 1.7e308  # a finite input whose sums overflow
+
+
+@pytest.mark.parametrize("entries, argv, output", [
+    ({1: _BIG, 2: _BIG}, ["sufficiency", "--kind", "even", "--windows", "4,8,16"], "o.csv"),
+    ({1: _BIG, 2: _BIG}, ["su2", "--op", "q1", "--lmax", "2"], "o.csv"),
+    ({-1: _BIG, 1: _BIG}, ["su2", "--op", "q2", "--lmax", "2"], "o.csv"),
+    ({-1: _BIG, 1: _BIG}, ["su2", "--op", "table", "--lmax", "2"], "o.csv"),
+    ({3: _BIG}, ["su2", "--op", "sufficiency"], None),
+    ({-2: -_BIG, 2: -_BIG}, ["su2", "--op", "character", "--l", "0"], None),
+    ({1: _BIG, 2: _BIG}, ["hilbert", "--kind", "full", "--range", "2:2"], "o.json"),
+    ({1: _BIG, 2: _BIG}, ["reexpand", "--parity", "1", "--box", "1:4"], "o.json"),
+], ids=["sufficiency", "su2-q1", "su2-q2", "su2-table", "su2-sufficiency", "su2-character",
+        "hilbert", "reexpand"])
+def test_non_finite_output_is_one_error_line(tmp_path, capsys, entries, argv, output):
+    # even inputs for q2 and the table, odd positive ones for su2
+    # sufficiency: the library's own input warnings stay out of the way
+    path = tmp_path / "big.json"
+    save_sequence(Coeff1D.from_dict(entries), str(path))
+    argv = argv + ["--input", str(path)]
+    if output:
+        argv += ["--output", str(tmp_path / output)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    named = tmp_path / output if output else "standard output"
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {named}: values must be finite, found NaN or infinity\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
+def test_q2_ratio_keeps_nan_for_a_zero_plain_side(tmp_path):
+    path = tmp_path / "zero.json"
+    save_sequence(Coeff1D(0, [0.0]), str(path))
+    out = tmp_path / "q2.csv"
+    assert main(["su2", "--op", "q2", "--input", str(path), "--lmax", "1",
+                 "--output", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["0,0,0,nan", "1,0,0,nan", "2,0,0,nan"]
 
 
 def test_sequence_roundtrip_bitexact(tmp_path):

@@ -12,13 +12,27 @@ from reexpansion import (
     Coeff1D,
     CoeffND,
     ParityVector,
+    ReexpandSpec,
+    TransformRequest,
     WeightExponent,
     boundary_vanish_check,
+    cos_to_sin,
+    dht_even,
+    dht_even_halved,
+    dht_full,
+    dht_mixed,
+    dht_odd,
+    dht_odd_halved,
+    dht_tensor,
     l1_norm,
     load_sequence,
     log_weighted_sum,
+    quadrature_oracle_box,
+    reexpand_nd,
     save_sequence,
     series_eval,
+    sin_to_cos,
+    transform,
     weight_apply,
 )
 from reexpansion.sequences import (
@@ -290,7 +304,7 @@ def test_sequence_file_roundtrip_1d(tmp_path):
     path = tmp_path / "a.json"
     save_sequence(a, str(path))
     b = load_sequence(str(path))
-    assert isinstance(b, Coeff1D)
+    assert b.ndim == 1
     assert b.offset == a.offset
     np.testing.assert_array_equal(b.values, a.values)
 
@@ -304,6 +318,69 @@ def test_sequence_file_roundtrip_nd(tmp_path):
     assert isinstance(b, CoeffND)
     assert b.offsets == a.offsets
     np.testing.assert_array_equal(b.values, a.values)
+
+
+_SEQ = Coeff1D(2, [0.5, -1.0, 0.25 + 0.5j, 2.0])  # indices 2..5
+
+
+def _saved_and_loaded(tmp_path):
+    save_sequence(_SEQ, str(tmp_path / "s.json"))
+    return load_sequence(str(tmp_path / "s.json"))
+
+
+# every entry point that hands back a 1-D sequence; windows stay in k >= 1
+_ONE_D_RESULTS = {
+    "dht_full": lambda tmp: dht_full(_SEQ, (1, 6)),
+    "dht_even": lambda tmp: dht_even(_SEQ, (1, 6)),
+    "dht_odd": lambda tmp: dht_odd(_SEQ, (1, 6)),
+    "dht_even_halved": lambda tmp: dht_even_halved(_SEQ, (1, 6)),
+    "dht_odd_halved": lambda tmp: dht_odd_halved(_SEQ, (1, 6)),
+    "transform": lambda tmp: transform(_SEQ, TransformRequest("odd", (1, 6), "naive")),
+    "cos_to_sin": lambda tmp: cos_to_sin(_SEQ, (1, 6)),
+    "sin_to_cos": lambda tmp: sin_to_cos(_SEQ, (1, 6)),
+    "weight_apply": lambda tmp: weight_apply(_SEQ, WeightExponent((2,))),
+    "trim": lambda tmp: Coeff1D(0, [0.0, 0.0, 3.0, 0.0, 1.0j, 0.0]).trim(),
+    "slice1d": lambda tmp: CoeffND((1, 4), np.arange(12.0).reshape(4, 3)).slice1d(0, (5,)),
+    "load_sequence": _saved_and_loaded,
+    "from_dict": lambda tmp: Coeff1D.from_dict({3: 1.0, 6: -2.0}),
+    "impulse": lambda tmp: Coeff1D.impulse(4, 2.5),
+}
+
+
+@pytest.mark.parametrize("make", _ONE_D_RESULTS.values(), ids=_ONE_D_RESULTS.keys())
+def test_one_dimensional_results_are_the_one_sequence_type(tmp_path, make):
+    a = make(tmp_path)
+    assert isinstance(a, CoeffND) and a.ndim == 1
+    lo, hi = a.offset, a.offset + len(a) - 1
+    assert a.support == ((lo, hi),)
+    np.testing.assert_array_equal(a.indices(), np.arange(lo, hi + 1))
+    assert [a[k] for k in range(lo - 1, hi + 2)] == [0, *a.values, 0]
+    total = a + Coeff1D.impulse(hi + 2, 7.0)
+    assert total.support == ((lo, hi + 2),)
+    assert [total[k] for k in range(lo, hi + 3)] == [*a.values, 0, 7.0]
+
+    # the n-D entry points take the result as it is
+    box = [(1, 4)]
+    np.testing.assert_array_equal(
+        dht_mixed(a, ParityVector((1,)), box).values, dht_even_halved(a, box[0]).values
+    )
+    np.testing.assert_array_equal(
+        dht_tensor(a, ParityVector((1,)), ParityVector((0,)), box).values,
+        dht_even(a, box[0]).values,
+    )
+    spec = ReexpandSpec(ParityVector((1,)), WeightExponent((0,)), tuple(box))
+    fast = reexpand_nd(a, spec)
+    np.testing.assert_array_equal(fast.values, cos_to_sin(a, box[0]).values)
+    oracle = quadrature_oracle_box(a, ParityVector((1,)), WeightExponent((0,)), box)
+    np.testing.assert_allclose(oracle.values, fast.values, rtol=0, atol=1e-9)
+
+
+def test_one_dimensional_members_refuse_an_nd_block():
+    block = CoeffND((1, 1), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="no single offset"):
+        block.indices()
+    with pytest.raises(ValueError, match="needs a 1-D sequence, input has 2 axes"):
+        dht_full(block, (1, 3))
 
 
 def test_load_rejects_malformed(tmp_path):
