@@ -20,6 +20,7 @@ import math
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -321,34 +322,17 @@ def _run_bench(opt) -> str:
     for n in sizes:
         a = Coeff1D(1, rng.standard_normal(n))
         lo = -n if kind == "full" else _hilbert._KIND_FLOOR[kind]
-        naive_t, fast_t = [], []
-        dev = 0.0
-        ref = fast = None
-        for algorithm, times in (("naive", naive_t), ("fast", fast_t)):
-            for rep in range(6):  # 1 warmup + 5 timed
+        row, outs = {"kind": kind, "size": n}, {}
+        for algorithm in ("naive", "fast"):
+            times = []
+            for _ in range(6):  # 1 warmup + 5 timed
                 t0 = time.perf_counter()
-                out = _hilbert._run_1d(a, kind, lo, n, algorithm)
-                dt = time.perf_counter() - t0
-                if rep > 0:
-                    times.append(dt)
-            if algorithm == "naive":
-                ref = out
-            else:
-                fast = out
-        dev = float(np.max(np.abs(ref.values - fast.values)))
-        rows.append(
-            {
-                "kind": kind,
-                "size": n,
-                "naive_median_s": float(np.median(naive_t)),
-                "naive_min_s": float(np.min(naive_t)),
-                "naive_max_s": float(np.max(naive_t)),
-                "fast_median_s": float(np.median(fast_t)),
-                "fast_min_s": float(np.min(fast_t)),
-                "fast_max_s": float(np.max(fast_t)),
-                "max_abs_deviation": dev,
-            }
-        )
+                outs[algorithm] = _hilbert._run_1d(a, kind, lo, n, algorithm)
+                times.append(time.perf_counter() - t0)
+            for stat, f in (("median", np.median), ("min", np.min), ("max", np.max)):
+                row[f"{algorithm}_{stat}_s"] = float(f(times[1:]))
+        row["max_abs_deviation"] = float(np.max(np.abs(outs["naive"].values - outs["fast"].values)))
+        rows.append(row)
     emit_report(rows, opt["output"])
     return f"kind={kind} sizes={opt['sizes']}"
 
@@ -366,9 +350,15 @@ def run(invocation: CliInvocation) -> int:
     """Dispatch an invocation; returns the process exit status."""
     t0 = time.perf_counter()
     try:
-        # every number written is checked, so numpy's own warnings add nothing
-        with np.errstate(all="ignore"):
-            summary = _RUNNERS[invocation.subcommand](invocation.options)
+        # every number written is checked, so numpy's own warnings add nothing;
+        # the library's warnings print as "warning:" lines, before any error line
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                summary = _RUNNERS[invocation.subcommand](invocation.options)
+            finally:
+                for w in caught:
+                    print(f"warning: {w.message}", file=sys.stderr)
     except ValueError as exc:  # UsageError included
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -40,12 +40,15 @@ import numpy as np
 from . import hilbert
 from .hilbert import KINDS, dht_even_halved, dht_odd_halved
 from .sequences import (
+    GL_NODES,
+    PANELS_PER_UNIT,
     BoundaryReport,
     CoeffND,
-    GL_NODES,
     ParityVector,
     WeightExponent,
+    _axis_weights,
     _node_chunks,
+    _on_axis,
     _phase_rows,
     _refined,
     boundary_vanish_check,
@@ -76,7 +79,6 @@ TWO_OVER_PI = 2.0 / np.pi
 CONVERGING_RATIO = 0.75
 DIVERGING_RATIO = 0.85
 
-PANELS_PER_UNIT = 4  # panels = 4 * (max frequency + |m| + 1) per axis
 # bound on one axis's basis work in the fine pass, counted as the bytes
 # its (support + window) x nodes basis values would fill if held whole
 _ORACLE_MAX_BYTES = 10**9
@@ -109,11 +111,8 @@ class ReexpandSpec:
             raise ValueError("eta and q dimensions differ")
         if self.boundary_tol <= 0:
             raise ValueError("boundary_tol must be positive")
-        object.__setattr__(
-            self, "output_box", tuple(tuple(int(v) for v in e) for e in self.output_box)
-        )
-        if len(self.output_box) != len(self.eta):
-            raise ValueError("output_box dimension differs from eta")
+        box = hilbert._normalize_box(self.output_box, len(self.eta))
+        object.__setattr__(self, "output_box", tuple(box))
 
 
 def cos_to_sin(
@@ -255,15 +254,12 @@ def reexpand_weighted(a, spec: ReexpandSpec, algorithm: str = "fast") -> Weighte
 
     dew = raw.values.copy()
     zero = np.zeros(raw.dims, dtype=bool)  # m_j = 0 on an axis with q_j > 0
-    for ax in range(raw.ndim):
+    for ax, mq in enumerate(_axis_weights(raw, q)):
         if q[ax] == 0:
             continue
-        m = raw.axis_indices(ax)
-        shape = [1] * raw.ndim
-        shape[ax] = -1
         with np.errstate(divide="ignore", invalid="ignore"):
-            dew = dew / (m.astype(float) ** q[ax]).reshape(shape)
-        zero |= (m == 0).reshape(shape)
+            dew = dew / _on_axis(mq, ax, raw.ndim)
+        zero |= _on_axis(mq == 0, ax, raw.ndim)
     dew[zero] = np.nan
     flagged = [tuple(int(i) for i in idx) for idx in np.argwhere(zero) + raw.offsets]
     return WeightedReexpansion(

@@ -49,14 +49,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoeffND:
     """A finitely supported d-dimensional coefficient block.
 
     ``values`` is a dense complex array; entry ``values[i1, ..., id]``
     carries multi-index ``(offsets[0] + i1, ..., offsets[-1] + id)``.
     A sequence over the integers is the case d = 1, built by :class:`Coeff1D`;
-    ``offset``, ``indices()`` and ``+`` are defined for it alone.
+    ``offset``, ``indices()`` and ``+`` are defined for it alone.  Two
+    sequences are equal when their trims are (same offsets, equal values),
+    whichever constructor built them; the type is unhashable.
     """
 
     offsets: tuple[int, ...]
@@ -77,6 +79,12 @@ class CoeffND:
     @classmethod
     def impulse(cls, index: Sequence[int], value: complex = 1.0) -> "CoeffND":
         return cls(tuple(index), np.full((1,) * len(tuple(index)), value))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoeffND):
+            return NotImplemented
+        a, b = self.trim(), other.trim()
+        return a.offsets == b.offsets and np.array_equal(a.values, b.values)
 
     @property
     def ndim(self) -> int:
@@ -239,10 +247,6 @@ class ParityVector:
         return self.bits[j]
 
     @property
-    def weight(self) -> int:
-        return sum(self.bits)
-
-    @property
     def complement(self) -> "ParityVector":
         return ParityVector(tuple(1 - b for b in self.bits))
 
@@ -293,6 +297,16 @@ def _axis_weights(nd: CoeffND, q: WeightExponent) -> list[np.ndarray]:
     return out
 
 
+def _on_axis(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """The vector ``v`` as an ``ndim``-axis array that broadcasts along ``axis``."""
+    return v.reshape((1,) * axis + (-1,) + (1,) * (ndim - axis - 1))
+
+
+def _negative_entries(a: CoeffND, axis: int) -> bool:
+    """Whether ``a`` has a nonzero entry at a negative index along ``axis``."""
+    return bool(np.any(np.moveaxis(a.values, axis, 0)[: max(-a.offsets[axis], 0)]))
+
+
 def weight_apply(a: CoeffND, q: WeightExponent) -> CoeffND:
     """Multiply entrywise by k^q = prod_j k_j^{q_j}.
 
@@ -304,15 +318,13 @@ def weight_apply(a: CoeffND, q: WeightExponent) -> CoeffND:
     if q.is_zero:
         return a
     for ax in range(a.ndim):
-        if q[ax] > 0 and np.any(np.moveaxis(a.values, ax, 0)[: max(-a.offsets[ax], 0)]):
+        if q[ax] > 0 and _negative_entries(a, ax):
             raise ValueError(
                 f"weight_apply with q[{ax}]={q[ax]} > 0 requires support in k >= 0 on that axis"
             )
-    vals = a.values.copy()
+    vals = a.values
     for ax, w in enumerate(_axis_weights(a, q)):
-        shape = [1] * a.ndim
-        shape[ax] = -1
-        vals = vals * w.reshape(shape)
+        vals = vals * _on_axis(w, ax, a.ndim)
     return CoeffND(a.offsets, vals)
 
 
@@ -324,22 +336,18 @@ def log_weighted_sum(a: CoeffND, q: WeightExponent) -> float:
     _check_dim(a.ndim, q, "weight exponent")
     if a.values.size == 0:
         return 0.0
+    if any(_negative_entries(a, ax) for ax in range(a.ndim)):
+        raise ValueError("log_weighted_sum requires support in k >= 0")
     acc = np.abs(a.values)
-    for ax in range(a.ndim):
+    for ax, w in enumerate(_axis_weights(a, q)):
         k = a.axis_indices(ax).astype(float)
-        if k.size and k[0] < 0:
-            if np.any(np.moveaxis(acc, ax, 0)[: int(-k[0])]):
-                raise ValueError("log_weighted_sum requires support in k >= 0")
-        w = np.zeros_like(k)
-        pos = k >= 0
-        w[pos] = (k[pos] ** q[ax] if q[ax] > 0 else 1.0) * np.log(k[pos] + 1.0)
-        shape = [1] * a.ndim
-        shape[ax] = -1
-        acc = acc * w.reshape(shape)
+        w = np.where(k >= 0, w * np.log(np.maximum(k, 0) + 1.0), 0.0)  # k^q may overflow at k < 0
+        acc = acc * _on_axis(w, ax, a.ndim)
     return float(np.sum(acc))
 
 
 GL_NODES = 16  # Gauss-Legendre nodes per quadrature panel
+PANELS_PER_UNIT = 4  # panels per axis = 4 * (max |source k| + max |target m| + 1)
 
 
 @functools.cache
@@ -516,9 +524,7 @@ def boundary_vanish_check(
     moments = []
     for ax in range(d):
         signs = (-1.0) ** (a.axis_indices(ax) % 2)
-        shape = [1] * d
-        shape[ax] = -1
-        moments.append((total, complex(np.sum(a.values * signs.reshape(shape)))))
+        moments.append((total, complex(np.sum(a.values * _on_axis(signs, ax, d)))))
     return BoundaryReport(tuple(checks), tuple(moments), float(tol))
 
 
@@ -575,17 +581,19 @@ def load_sequence(path: str) -> CoeffND:
     """Read a sequence file as a :class:`CoeffND` with one axis per entry of dims.
 
     Raises ValueError naming ``path`` if the file is not JSON, is not a
-    sequence document, or holds non-numeric or non-finite values.
+    sequence document (dims and offsets are JSON integers), or holds
+    non-numeric or non-finite values.
     """
     with open(path) as fh:
         try:
             doc = json.load(fh)
-            dims = [int(n) for n in doc["dims"]]
-            offsets = [int(o) for o in doc["offsets"]]
+            dims, offsets = list(doc["dims"]), list(doc["offsets"])
             found = len(doc["values"])
             arr = np.asarray(doc["values"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed sequence file {path}: {exc}") from exc
+    if any(type(n) is not int for n in dims + offsets):  # bool is not int here
+        raise ValueError(f"{path}: dims and offsets must be JSON integers")
     if not dims or len(dims) != len(offsets) or min(dims) < 0:
         raise ValueError(f"{path}: dims must be one nonnegative size per offset")
     count = math.prod(dims)

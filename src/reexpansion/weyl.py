@@ -32,7 +32,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .hilbert import dht_full
-from .sequences import Coeff1D, CoeffND, _node_chunks, _phase_rows, _refined, gauss_legendre_grid
+from .sequences import (
+    PANELS_PER_UNIT, Coeff1D, CoeffND, _node_chunks, _phase_rows, _refined, gauss_legendre_grid,
+    window_axis,
+)
 
 __all__ = [
     "RootSystem",
@@ -225,15 +228,6 @@ def _require_rank1(denom: WeylDenomSq) -> None:
         raise ValueError("SU(2) operations need a rank-1 denominator table")
 
 
-def _window(a: CoeffND, bound: int) -> np.ndarray:
-    """a on -bound..bound as a dense array (zero outside the support)."""
-    out = np.zeros(2 * bound + 1, dtype=np.complex128)
-    lo, hi = max(a.offset, -bound), min(a.offset + len(a), bound + 1)
-    if lo < hi:
-        out[lo + bound : hi + bound] = a.values[lo - a.offset : hi - a.offset]
-    return out
-
-
 def _inner(a: CoeffND, denom: WeylDenomSq, bound: int) -> np.ndarray:
     """g(mu) = (1/|W|) sum_nu D(nu) a[mu + nu] on -bound..bound.
 
@@ -243,12 +237,13 @@ def _inner(a: CoeffND, denom: WeylDenomSq, bound: int) -> np.ndarray:
     _require_rank1(denom)
     span = max(abs(nu) for (nu,) in denom.coeffs)
     table = np.array([denom.get(nu) for nu in range(-span, span + 1)], dtype=float)
-    return np.convolve(_window(a, bound + span), table, "valid") / _SU2_WEYL_ORDER
+    wide = window_axis(a.values, a.offset, 0, -bound - span, bound + span)
+    return np.convolve(wide, table, "valid") / _SU2_WEYL_ORDER
 
 
 def _character_coeffs(a: CoeffND, two_lmax: int) -> np.ndarray:
     """c_l for every 2l in 0..two_lmax, by the telescoped closed form."""
-    w = _window(a, two_lmax + 2)
+    w = window_axis(a.values, a.offset, 0, -two_lmax - 2, two_lmax + 2)
     both = w[two_lmax + 2 :] + w[two_lmax + 2 :: -1]  # a_k + a_{-k}, k = 0..2 lmax + 2
     return (both[:-2] - both[2:]) / (_SU2_WEYL_ORDER * np.arange(1, two_lmax + 2))
 
@@ -299,7 +294,7 @@ def character_coeff_quadrature(a: CoeffND, l, tol: float = 1e-10) -> complex:
     two_l = _two_l(l)
     d = two_l + 1
     kmax = int(np.max(np.abs(a.indices()))) if len(a) else 0
-    panels = 4 * (kmax + two_l + 3)
+    panels = PANELS_PER_UNIT * (kmax + (two_l + 2) + 1)  # 2l + 2: top frequency of chi_l |Delta|^2
 
     def integrate(refine):
         t, wt = gauss_legendre_grid(-np.pi, np.pi, refine * panels)
@@ -507,7 +502,8 @@ def parity_check(a: CoeffND, tol: float = 1e-12) -> str:
     t = a.trim()
     if len(t) == 0:
         return "even"
-    w = _window(t, max(abs(x) for x in t.support[0]))
+    bound = max(abs(x) for x in t.support[0])
+    w = window_axis(t.values, t.offset, 0, -bound, bound)
     if np.max(np.abs(w - w[::-1])) <= tol:
         return "even"
     if np.max(np.abs(w + w[::-1])) <= tol:

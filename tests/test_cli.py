@@ -93,7 +93,11 @@ def test_bad_input_values_are_usage_errors(tmp_path, capsys, values):
     assert not (tmp_path / "o.json").exists()
 
 
-@pytest.mark.parametrize("text", ["not json", '{"dims": [1]'], ids=["text", "truncated"])
+@pytest.mark.parametrize(
+    "text",
+    ["not json", '{"dims": [1]', '{"dims": [2.7], "offsets": [true], "values": [[1, 0], [2, 0]]}'],
+    ids=["text", "truncated", "non-integer-dims"],
+)
 def test_non_json_input_is_usage_error(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -203,6 +207,18 @@ def test_su2_sufficiency_prints_value(impulse_file, capsys):
     out = capsys.readouterr().out
     printed = float(out.splitlines()[0])
     np.testing.assert_allclose(printed, 3 * np.log(3), atol=1e-12)  # 3.29584...
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--op", "q2", "--lmax", "1", "--output", "q2.csv"],
+     "q2_diagnostic expects an even sequence, got neither"),
+    (["--op", "sufficiency"], "ignored l1 mass 2 outside the odd positive integers"),
+], ids=["q2-not-even", "sufficiency-ignored-mass"])
+def test_library_warnings_are_warning_lines(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    save_sequence(Coeff1D(1, [1.0, 2.0, 0.5]), "a.json")
+    assert main(["su2", "--input", "a.json"] + argv) == 0
+    assert capsys.readouterr().err == f"warning: {message}\n"
 
 
 def test_su2_q1_csv(tmp_path, impulse_file):

@@ -153,6 +153,36 @@ def test_weight_apply_rejects_negative_support():
     weight_apply(a, WeightExponent((0,)))
 
 
+@pytest.mark.parametrize(
+    "a",
+    [Coeff1D(-1, [1.0, 0.0]), CoeffND((0, -1), [[1.0, 0.0]])],
+    ids=["1d", "2d-behind-a-zero-log-weight"],
+)
+def test_log_weighted_sum_rejects_negative_support(a):
+    # in 2-D the entry at (0, -1) meets the weight ln(0 + 1) = 0 on axis 0
+    with pytest.raises(ValueError, match="requires support in k >= 0"):
+        log_weighted_sum(a, WeightExponent.zero(a.ndim))
+
+
+@pytest.mark.parametrize(
+    "a, b, equal",
+    [
+        (Coeff1D(2, [1.0, 2.0]), Coeff1D(2, [1.0, 2.0]), True),
+        (Coeff1D(0, [1.0, 2.0j]), CoeffND((0,), [1.0, 2.0j]), True),
+        (CoeffND((0, 0), [[0, 0, 0], [0, 1.0, 2.0]]), CoeffND((1, 1), [[1.0, 2.0]]), True),
+        (Coeff1D(0, [1.0, 2.0]), Coeff1D(1, [1.0, 2.0]), False),
+        (Coeff1D(0, [1.0, 2.0]), Coeff1D(0, [1.0, 3.0]), False),
+    ],
+    ids=["same-block", "coeff1d-vs-coeffnd", "zero-padding-trims-away", "other-offset",
+         "other-value"],
+)
+def test_sequence_equality_compares_trimmed_entries(a, b, equal):
+    assert (a == b) is equal and (b == a) is equal and (a != b) is not equal
+    assert (a == a.offsets) is False  # anything else: NotImplemented, then identity
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
 def test_weight_apply_composes_additively():
     rng = np.random.default_rng(3)
     a = Coeff1D(0, rng.standard_normal(20))
@@ -447,8 +477,13 @@ def test_load_rejects_bad_values_naming_the_file(tmp_path, values):
     "text",
     ["not json", "", '{"dims": [1], "offsets": [0], "values": [[1, 0]]',
      '{"dims": [], "offsets": [], "values": []}',
-     '{"dims": [1], "offsets": [0], "values": 5}'],
-    ids=["text", "empty", "truncated", "no-axes", "scalar-values"],
+     '{"dims": [1], "offsets": [0], "values": 5}',
+     '{"dims": [2.7], "offsets": [true], "values": [[1, 0], [2, 0]]}',
+     '{"dims": ["2"], "offsets": ["-3"], "values": [[1, 0], [2, 0]]}',
+     '{"dims": [true], "offsets": [0], "values": [[1, 0]]}',
+     '{"dims": [1.0], "offsets": [0], "values": [[1, 0]]}'],
+    ids=["text", "empty", "truncated", "no-axes", "scalar-values", "float-dims-bool-offsets",
+         "string-dims-offsets", "bool-dims", "integral-float-dims"],
 )
 def test_load_rejects_non_sequence_text_naming_the_file(tmp_path, text):
     p = tmp_path / "bad.json"
