@@ -43,7 +43,9 @@ reflection b_{-k} = a_k, R b(n) = sum_k a_k/(n+k):
 as 2n/(n^2-k^2) = 1/(n-k) + 1/(n+k) and 2k/(n^2-k^2) = 1/(n-k) - 1/(n+k);
 the k = n term of R b is the a_n/(2n) self-term.  R is a Toeplitz
 product, evaluated by a zero-padded real FFT, for the halved kinds once
-per output parity on the half-length sublattice at odd lag.
+per output parity on the half-length sublattice at odd lag.  R a and R b
+share the support's spectrum X and one inverse FFT: the reflection has
+spectrum conj(X) e^{-2 pi i (na-1) f/size}, that is R b's kernel shifted.
 
 Transforms of finitely supported sequences generally have infinite
 support, so the caller always supplies an explicit inclusive output
@@ -169,17 +171,34 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _recip(batch: np.ndarray, offset: int, lo: int, hi: int, step: int) -> np.ndarray:
-    """c(n) = sum_j a_j/(n - k_j), k_j = offset + step*j, n = lo, lo + step, ... <= hi,
-    lag 0 dropped, for real rows ``batch``: one zero-padded real FFT product."""
+def _recip(
+    batch: np.ndarray, offset: int, lo: int, hi: int, step: int, direct: float, reflected: float
+) -> np.ndarray:
+    """direct R a + reflected R b at n = lo, lo + step, ... <= hi for real rows
+    ``batch`` at k_j = offset + step*j, a zero lag dropped: the rows' zero-padded
+    real FFT X times each kernel's, conj(X) for R b, and one inverse FFT."""
     na = batch.shape[-1]
     nout = (hi - lo) // step + 1
     with np.errstate(divide="ignore"):
-        kern = 1.0 / ((lo - offset) + step * np.arange(1 - na, nout, dtype=float))
+        kern = direct / ((lo - offset) + step * np.arange(1 - na, nout, dtype=float))
     kern[np.isinf(kern)] = 0.0
     size = _fast_len(na + nout - 1)
-    out = irfft(rfft(batch, size, axis=-1) * rfft(kern, size), size, axis=-1)
-    return out[..., na - 1 : na - 1 + nout]
+    spec = rfft(batch, size, axis=-1)
+    out = spec * rfft(kern, size)
+    if reflected:
+        # R b's kernel 1/(n + k) shifted by na - 1, the phase that takes X to
+        # the reversed rows' spectrum: position p holds lag (p - na + 1) mod size
+        t = np.arange(1 - na, size + 1 - na, dtype=float)
+        t[: na - 1] += size
+        t[t >= na + nout - 1] = np.inf  # zero padding
+        with np.errstate(divide="ignore"):
+            np.divide(reflected, (lo + offset) + step * t, out=t)
+        t[np.isinf(t)] = 0.0
+        np.conjugate(spec, out=spec)
+        spec *= rfft(t)
+        out += spec
+    del spec  # its memory is free for the inverse FFT
+    return irfft(out, size, axis=-1)[..., na - 1 : na - 1 + nout]
 
 
 # kind -> (sign of R a, sign of R b, lattice step), as in the module docstring
@@ -207,11 +226,7 @@ def _fast(kind: str, x: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarray
         sub = x[:, k0 - offset :: step]
         if sub.shape[-1] == 0:
             continue
-        res = direct * _recip(sub, k0, n0, hi, step)
-        if reflected:
-            k1 = k0 + step * (sub.shape[-1] - 1)
-            res += reflected * _recip(sub[:, ::-1], -k1, n0, hi, step)
-        out[:, n0 - lo :: step] = res
+        out[:, n0 - lo :: step] = _recip(sub, k0, n0, hi, step, direct, reflected)
     if far:
         out *= np.arange(lo, hi + 1)
     return out

@@ -86,6 +86,13 @@ class CoeffND:
         a, b = self.trim(), other.trim()
         return a.offsets == b.offsets and np.array_equal(a.values, b.values)
 
+    # every index reads an entry (0 outside the block), so iteration would not
+    # end; numpy defers, so seq == ndarray is False rather than an entrywise loop
+    __array_ufunc__ = None
+
+    def __iter__(self):
+        raise TypeError("a CoeffND is not iterable; use .values")
+
     @property
     def ndim(self) -> int:
         return self.values.ndim

@@ -7,6 +7,7 @@ evaluators.
 """
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -322,6 +323,31 @@ def test_fast_len_matches_scipy_next_fast_len():
     assert [hilbert._fast_len(n) for n in ns] == [sfft.next_fast_len(n, real=True) for n in ns]
 
 
+def test_fast_path_takes_one_fft_pair_per_output_class(monkeypatch):
+    # R a and R b share the rows' spectrum: per output class one batch rfft
+    # of the rows, one rfft per kernel and one irfft
+    from reexpansion import hilbert
+
+    calls = {"rows": 0, "kernel": 0, "irfft": 0}
+
+    def counted(fft, name):
+        def wrapper(x, *args, **kwargs):
+            calls["irfft" if name == "irfft" else "rows" if np.ndim(x) == 2 else "kernel"] += 1
+            return fft(x, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(hilbert, "rfft", counted(hilbert.rfft, "rfft"))
+    monkeypatch.setattr(hilbert, "irfft", counted(hilbert.irfft, "irfft"))
+    a = Coeff1D(1, np.random.default_rng(61).standard_normal(64))
+    expected = {"full": (1, 1), "even": (1, 2), "odd": (1, 2),
+                "even_halved": (2, 2), "odd_halved": (2, 2)}  # (classes, kernels per class)
+    for kind, (classes, kernels) in expected.items():
+        calls.update(rows=0, kernel=0, irfft=0)
+        hilbert._run_1d(a, kind, hilbert._KIND_FLOOR[kind] or 1, 100, "fast")
+        assert calls == {"rows": classes, "kernel": classes * kernels, "irfft": classes}, kind
+
+
 # The invariants below need no quadratic reference, so they check the
 # fast path at the largest advertised size.
 LARGE_N = 1 << 20
@@ -518,3 +544,35 @@ class TestOneSupportRule:
     def test_zero_input_still_checks_the_algorithm(self, call):
         with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
             call(CoeffND((1, 1), np.zeros((3, 3))))
+
+
+def _kernel_row(kind: str, n: int, k: np.ndarray) -> np.ndarray:
+    """Row n of the kernel matrix over indices k >= 1, from the definitions;
+    each entry has at most two roundings, (n - k)(n + k) being exact."""
+    lag, prod = n - k, ((n - k) * (n + k)).astype(float)
+    with np.errstate(divide="ignore"):
+        row = {
+            "full": 1.0 / lag,
+            "even": 2.0 * n / prod, "even_halved": 2.0 * n / prod,
+            "odd": 2.0 * k / prod, "odd_halved": -2.0 * k / prod,
+        }[kind]
+    row[lag == 0] = {"even": 0.5 / n, "odd": -0.5 / n}.get(kind, 0.0) if n else 0.0
+    if kind.endswith("halved"):
+        row[lag % 2 == 0] = 0.0
+    return row
+
+
+def test_fast_path_matches_exact_sums_at_large_size():
+    # the fast path at the advertised size against math.fsum of the kernel
+    # rows, at both window ends and both parities in the middle
+    rng = np.random.default_rng(67)
+    values = rng.standard_normal(LARGE_N)
+    a = Coeff1D(1, values)
+    k = np.arange(1, LARGE_N + 1)
+    for kind in ("full", "even", "odd", "even_halved", "odd_halved"):
+        lo = 0 if kind.startswith("odd") else 1
+        out = transform(a, TransformRequest(kind, (lo, LARGE_N))).values.real
+        scale = np.max(np.abs(out))
+        for n in (lo, LARGE_N // 2, LARGE_N // 2 + 1, LARGE_N):
+            exact = math.fsum((values * _kernel_row(kind, n, k)).tolist())
+            assert abs(out[n - lo] - exact) <= 1e-14 * scale, (kind, n)

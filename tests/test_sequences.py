@@ -3,6 +3,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,33 @@ def test_sequence_equality_compares_trimmed_entries(a, b, equal):
     assert (a == a.offsets) is False  # anything else: NotImplemented, then identity
     with pytest.raises(TypeError, match="unhashable"):
         hash(a)
+
+
+def test_sequence_is_not_iterable_and_numpy_does_not_loop_over_it():
+    # every index reads an entry, so an iterator would never end: a hang
+    # here must fail the test, hence the subprocess and its timeout
+    code = """
+import numpy as np
+from reexpansion import Coeff1D, CoeffND
+for seq in (Coeff1D(0, [1.0, 2.0]), CoeffND((0, 0), [[1.0, 2.0]])):
+    for convert in (iter, list, np.asarray):
+        try:
+            convert(seq)
+        except TypeError:
+            continue
+        raise SystemExit(f"{convert.__name__} accepted {seq!r}")
+    grid = np.zeros(seq.dims)
+    assert (seq == grid) is False and (grid == seq) is False
+    assert (seq != grid) is True and (grid != seq) is True
+print("ok")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr or proc.stdout
+    assert proc.stdout.strip() == "ok"
 
 
 def test_weight_apply_composes_additively():
