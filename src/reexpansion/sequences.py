@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -158,7 +159,8 @@ class CoeffND:
         )
 
     def trim(self) -> "CoeffND":
-        """Shrink the block to the smallest box containing all nonzeros."""
+        """Shrink the block to the smallest box containing all nonzeros;
+        a block that is already that box is returned as it is."""
         nonzero = self.values != 0
         slices = []
         offs = []
@@ -169,6 +171,8 @@ class CoeffND:
                 return CoeffND((0,) * self.ndim, np.zeros((0,) * self.ndim))
             slices.append(slice(int(nz[0]), int(nz[-1]) + 1))
             offs.append(self.offsets[ax] + int(nz[0]))
+        if all(s.stop - s.start == n for s, n in zip(slices, self.values.shape)):
+            return self
         return CoeffND(tuple(offs), self.values[tuple(slices)].copy())
 
     def scaled(self, c: complex) -> "CoeffND":
@@ -541,10 +545,21 @@ def boundary_vanish_check(
 # One compact JSON line {"dims": [...], "offsets": [...], "values":
 # [[re, im], ...]} with values flattened in row-major order; 1-D
 # sequences use dims of length 1.  The bytes equal json.dumps(doc) plus
-# a newline.  Saving rejects non-finite values; loading rejects
-# non-finite or non-numeric ones.
+# a newline: each chunk of pairs is one %r template, and %r formats a
+# float as json.dumps does.  Loading accepts any JSON layout of the
+# document.  The layout save_sequence writes is parsed without per-pair
+# lists: deleting the number characters must leave exactly its brackets
+# and separators, then the brackets are deleted and JSON judges the flat
+# list of numbers.  Any other text goes through json.loads, and both end
+# in one validation step.  Saving rejects non-finite values; loading
+# rejects non-finite or non-numeric ones.
 
-_CHUNK = 1 << 16  # value pairs per json.dumps call when saving
+_CHUNK = 1 << 16  # value pairs per formatted chunk when saving
+_SAVED_LAYOUT = re.compile(
+    r'\{"dims": (\[[^\]]*\]), "offsets": (\[[^\]]*\]), "values": (.*)\}[ \t\n\r]*\Z', re.S
+)
+_NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+-")
+_BRACKETS = str.maketrans("", "", "[]")
 
 
 @contextlib.contextmanager
@@ -570,18 +585,40 @@ def save_sequence(a: CoeffND, path: str) -> None:
     Raises ValueError naming ``path``, before writing, if a value is not
     finite, since ``load_sequence`` refuses such files.
     """
-    flat = a.values.reshape(-1)
-    pairs = np.stack([flat.real, flat.imag], axis=1)
+    pairs = np.ascontiguousarray(a.values).view(np.float64).reshape(-1, 2)
     if not np.isfinite(pairs).all():
         raise ValueError(f"{path}: values must be finite, found NaN or infinity")
     head = json.dumps({"dims": list(a.dims), "offsets": list(a.offsets), "values": []})
     with atomic_open(path) as fh:
         fh.write(head[:-2])  # up to and including the values' "["
         for i in range(0, len(pairs), _CHUNK):
-            if i:
-                fh.write(", ")
-            fh.write(json.dumps(pairs[i : i + _CHUNK].tolist())[1:-1])
+            flat = pairs[i : i + _CHUNK].reshape(-1).tolist()
+            template = ", ".join(["[%r, %r]"] * (len(flat) // 2))
+            fh.write((", " if i else "") + template % tuple(flat))
         fh.write("]}\n")
+
+
+def _saved_layout(text: str):
+    """dims, offsets, pair count and (count, 2) values of a document in the
+    layout ``save_sequence`` writes; ValueError if it is in another.
+
+    Deleting the number characters must leave exactly that layout's
+    brackets and separators for one pair more than there are whole "], ["
+    in the text, and the values must begin "[[" and end "]]".  Number
+    characters then sit inside pairs alone, deleting the brackets joins
+    no two tokens, and JSON judges each one."""
+    match = _SAVED_LAYOUT.match(text)
+    if match is None:
+        raise ValueError("not the saved layout")
+    values = match[3]
+    n = values.count("], [") + (values != "[]")  # the pair count, if the layout holds
+    skeleton = "[" + ", ".join(["[, ]"] * n) + "]"
+    if values.translate(_NUMBER_CHARS) != skeleton or not (
+        values.startswith(skeleton[:2]) and values.endswith(skeleton[-2:])
+    ):
+        raise ValueError("not the saved layout")
+    flat = json.loads("[" + values.translate(_BRACKETS) + "]")
+    return json.loads(match[1]), json.loads(match[2]), n, np.asarray(flat).reshape(-1, 2)
 
 
 def load_sequence(path: str) -> CoeffND:
@@ -593,12 +630,22 @@ def load_sequence(path: str) -> CoeffND:
     """
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-            dims, offsets = list(doc["dims"]), list(doc["offsets"])
-            found = len(doc["values"])
-            arr = np.asarray(doc["values"])
+            text = fh.read()
+            try:
+                dims, offsets, found, arr = _saved_layout(text)
+            except ValueError:  # another layout, or not a sequence: JSON judges it
+                doc = json.loads(text)
+                dims, offsets = list(doc["dims"]), list(doc["offsets"])
+                found = len(doc["values"])
+                arr = np.asarray(doc["values"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed sequence file {path}: {exc}") from exc
+    return _validated(path, dims, offsets, found, arr)
+
+
+def _validated(path: str, dims: list, offsets: list, found: int, arr: np.ndarray) -> CoeffND:
+    """The checks every parser ends in: dims and offsets are JSON integers,
+    ``found`` pairs make the block, and the values are finite numbers."""
     if any(type(n) is not int for n in dims + offsets):  # bool is not int here
         raise ValueError(f"{path}: dims and offsets must be JSON integers")
     if not dims or len(dims) != len(offsets) or min(dims) < 0:

@@ -44,6 +44,7 @@ from reexpansion.sequences import (
     GL_NODES,
     _node_chunks,
     _phase_rows,
+    _saved_layout,
     gauss_legendre_grid,
 )
 
@@ -80,6 +81,16 @@ def test_trim_idempotent():
     t2 = t1.trim()
     assert t1.offset == t2.offset == 2
     np.testing.assert_array_equal(t1.values, t2.values)
+
+
+def test_trim_copies_only_a_block_it_shrinks():
+    tight = CoeffND((2, -1), np.arange(1.0, 7.0).reshape(2, 3))
+    assert np.shares_memory(tight.trim().values, tight.values)
+    assert tight.trim() == tight
+    loose = CoeffND((2, -2), np.pad(tight.values, ((0, 1), (1, 0))))
+    trimmed = loose.trim()
+    assert not np.shares_memory(trimmed.values, loose.values)
+    assert trimmed.offsets == (2, -1) and trimmed == tight
 
 
 def test_trim_nd():
@@ -459,10 +470,21 @@ def _reference_bytes(dims, offsets, values):
     return (json.dumps(doc) + "\n").encode()
 
 
-@pytest.mark.parametrize("n", [0, 1, _CHUNK, _CHUNK + 1])
+# floats whose repr is easy to get wrong: signed zero, a short decimal, an
+# integral value, the exponent thresholds, the extremes and a 17-digit integer
+_FLOAT_EDGES = [-0.0, 0.1, 2.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, 123456789012345680.0]
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK, _CHUNK + 1, "float-edges"])
 def test_save_layout_matches_one_shot_dumps_1d(tmp_path, n):
+    edges = n == "float-edges"
+    n = _CHUNK + 1 if edges else n
     rng = np.random.default_rng(n)
     a = Coeff1D(-7, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if edges:  # as (re, im) pairs: three before the chunk boundary, one after
+        pairs = np.array(_FLOAT_EDGES).view(np.complex128)
+        a.values[_CHUNK - 3 :] = pairs
+        a.values[:4] = -pairs
     path = tmp_path / "a.json"
     save_sequence(a, str(path))
     assert path.read_bytes() == _reference_bytes([n], [-7], a.values)
@@ -478,6 +500,60 @@ def test_save_layout_matches_one_shot_dumps_2d(tmp_path):
     save_sequence(a, str(path))
     assert path.read_bytes() == _reference_bytes([5, 3], [2, -1], vals)
     assert path.read_bytes().count(b"\n") == 1
+
+
+_HEADER = '{"dims": [2], "offsets": [0], "values": '
+
+
+@pytest.mark.parametrize(
+    "text, valid",
+    [
+        (_HEADER + "[[+1, 0], [2, 0]]}", False),
+        (_HEADER + "[[.5, 0], [2, 0]]}", False),
+        (_HEADER + "[[01, 0], [2, 0]]}", False),
+        (_HEADER + "[[1., 0], [2, 0]]}", False),
+        (_HEADER + "[[1_0, 0], [2, 0]]}", False),
+        (_HEADER + "[[\u0661, 0], [2, 0]]}", False),
+        (_HEADER + "[[{}, 0], [2, 0]]}", False),
+        (_HEADER + "[[true, 1], [2, 0]]}", True),
+        (_HEADER + "[[1, 2, 3], [4]]}", False),
+        (_HEADER + "[[1, 0], [2, 0]]} x", False),
+        (_HEADER + "[[1, 2]3, [4, 5]]}", False),
+        (_HEADER + "[2[1, 0], [2, 0]]}", False),
+        (_HEADER + "[[1, 0], [2, 1]]5}", False),
+        (_HEADER + "[[1,0],[2,0]]}", True),
+        (_HEADER + "[ [1, 0] , [2, 0] ]}", True),
+        (_HEADER + " [[1, 0],  [2, 0]]}", True),
+        (_HEADER + "[[1, 0], [2, 0]]} \t\n\n", True),
+        (json.dumps({"dims": [3], "offsets": [-1], "values": [[1, 0], [2.5, -1], [0, 3]]},
+                    indent=0), True),
+    ],
+    ids=["plus", "no-leading-digit", "leading-zero", "no-fraction-digit", "underscore",
+         "arabic-indic-digit", "object", "true", "ragged", "text-after", "joined-by-bracket",
+         "digit-before-pairs", "digit-after-values", "no-spaces", "spaced", "two-spaces",
+         "trailing-whitespace", "indent-0"],
+)
+def test_load_agrees_with_json_loads(tmp_path, text, valid):
+    p = tmp_path / "edge.json"
+    p.write_text(text, encoding="utf-8")
+    if not valid:
+        with pytest.raises(ValueError, match="edge.json"):
+            load_sequence(str(p))
+        return
+    doc = json.loads(text)
+    expected = np.asarray(doc["values"], dtype=float) @ np.array([1.0, 1.0j])
+    b = load_sequence(str(p))
+    assert b.offsets == tuple(doc["offsets"])
+    np.testing.assert_array_equal(b.values, expected)
+
+
+@pytest.mark.parametrize("vals", [np.zeros(0), np.arange(5) - 2.5j, np.ones((2, 3)) * 1e-300])
+def test_saved_layout_is_parsed_without_the_json_fallback(tmp_path, vals):
+    path = tmp_path / "a.json"
+    save_sequence(CoeffND((0,) * vals.ndim, vals), str(path))
+    dims, offsets, found, pairs = _saved_layout(path.read_text())
+    assert (dims, offsets, found) == (list(vals.shape), [0] * vals.ndim, vals.size)
+    np.testing.assert_array_equal(pairs @ np.array([1.0, 1.0j]), vals.reshape(-1))
 
 
 @pytest.mark.parametrize(
