@@ -159,8 +159,7 @@ class CoeffND:
         )
 
     def trim(self) -> "CoeffND":
-        """Shrink the block to the smallest box containing all nonzeros;
-        a block that is already that box is returned as it is."""
+        """Shrink the block to the smallest box containing all nonzeros (itself if it is)."""
         nonzero = self.values != 0
         slices = []
         offs = []
@@ -545,21 +544,14 @@ def boundary_vanish_check(
 # One compact JSON line {"dims": [...], "offsets": [...], "values":
 # [[re, im], ...]} with values flattened in row-major order; 1-D
 # sequences use dims of length 1.  The bytes equal json.dumps(doc) plus
-# a newline: each chunk of pairs is one %r template, and %r formats a
-# float as json.dumps does.  Loading accepts any JSON layout of the
-# document.  The layout save_sequence writes is parsed without per-pair
-# lists: deleting the number characters must leave exactly its brackets
-# and separators, then the brackets are deleted and JSON judges the flat
-# list of numbers.  Any other text goes through json.loads, and both end
-# in one validation step.  Saving rejects non-finite values; loading
-# rejects non-finite or non-numeric ones.
+# a newline.  Loading accepts any JSON layout of the document and parses
+# the saved one without per-pair lists.  Saving rejects non-finite
+# values; loading rejects non-finite or non-numeric ones.
 
 _CHUNK = 1 << 16  # value pairs per formatted chunk when saving
-_SAVED_LAYOUT = re.compile(
-    r'\{"dims": (\[[^\]]*\]), "offsets": (\[[^\]]*\]), "values": (.*)\}[ \t\n\r]*\Z', re.S
-)
+_SAVED_LAYOUT = re.compile(  # values from "[[" to "]]", or "[]"
+    r'\{"dims": (\[[^\]]*\]), "offsets": (\[[^\]]*\]), "values": (\[(?:\[.*\])?\])\}[ \t\n\r]*\Z', re.S)
 _NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+-")
-_BRACKETS = str.maketrans("", "", "[]")
 
 
 @contextlib.contextmanager
@@ -592,32 +584,24 @@ def save_sequence(a: CoeffND, path: str) -> None:
     with atomic_open(path) as fh:
         fh.write(head[:-2])  # up to and including the values' "["
         for i in range(0, len(pairs), _CHUNK):
-            flat = pairs[i : i + _CHUNK].reshape(-1).tolist()
-            template = ", ".join(["[%r, %r]"] * (len(flat) // 2))
-            fh.write((", " if i else "") + template % tuple(flat))
+            flat = pairs[i : i + _CHUNK].reshape(-1).tolist()  # %r formats as json.dumps does
+            fh.write((", " if i else "") + ", ".join(["[%r, %r]"] * (len(flat) // 2)) % tuple(flat))
         fh.write("]}\n")
 
 
 def _saved_layout(text: str):
-    """dims, offsets, pair count and (count, 2) values of a document in the
-    layout ``save_sequence`` writes; ValueError if it is in another.
-
-    Deleting the number characters must leave exactly that layout's
-    brackets and separators for one pair more than there are whole "], ["
-    in the text, and the values must begin "[[" and end "]]".  Number
-    characters then sit inside pairs alone, deleting the brackets joins
-    no two tokens, and JSON judges each one."""
+    """dims, offsets, pair count and (count, 2) values of a text in the layout
+    ``save_sequence`` writes; ValueError for any other.  Deleting the number
+    characters must leave exactly that layout's brackets and separators, so
+    deleting the brackets joins no two tokens, and JSON judges each one."""
     match = _SAVED_LAYOUT.match(text)
-    if match is None:
-        raise ValueError("not the saved layout")
-    values = match[3]
+    values = match[3] if match else ""  # fails the check below
     n = values.count("], [") + (values != "[]")  # the pair count, if the layout holds
     skeleton = "[" + ", ".join(["[, ]"] * n) + "]"
-    if values.translate(_NUMBER_CHARS) != skeleton or not (
-        values.startswith(skeleton[:2]) and values.endswith(skeleton[-2:])
-    ):
+    head = values[:256].translate(_NUMBER_CHARS)  # another spacing mostly shows here
+    if not (match and skeleton.startswith(head) and values.translate(_NUMBER_CHARS) == skeleton):
         raise ValueError("not the saved layout")
-    flat = json.loads("[" + values.translate(_BRACKETS) + "]")
+    flat = json.loads("[%s]" % values.translate(str.maketrans("", "", "[]")))
     return json.loads(match[1]), json.loads(match[2]), n, np.asarray(flat).reshape(-1, 2)
 
 
@@ -635,8 +619,7 @@ def load_sequence(path: str) -> CoeffND:
                 dims, offsets, found, arr = _saved_layout(text)
             except ValueError:  # another layout, or not a sequence: JSON judges it
                 doc = json.loads(text)
-                dims, offsets = list(doc["dims"]), list(doc["offsets"])
-                found = len(doc["values"])
+                dims, offsets, found = list(doc["dims"]), list(doc["offsets"]), len(doc["values"])
                 arr = np.asarray(doc["values"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed sequence file {path}: {exc}") from exc
@@ -644,8 +627,7 @@ def load_sequence(path: str) -> CoeffND:
 
 
 def _validated(path: str, dims: list, offsets: list, found: int, arr: np.ndarray) -> CoeffND:
-    """The checks every parser ends in: dims and offsets are JSON integers,
-    ``found`` pairs make the block, and the values are finite numbers."""
+    """The checks every parser ends in, on ``found`` pairs parsed as ``arr``."""
     if any(type(n) is not int for n in dims + offsets):  # bool is not int here
         raise ValueError(f"{path}: dims and offsets must be JSON integers")
     if not dims or len(dims) != len(offsets) or min(dims) < 0:

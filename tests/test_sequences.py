@@ -547,6 +547,42 @@ def test_load_agrees_with_json_loads(tmp_path, text, valid):
     np.testing.assert_array_equal(b.values, expected)
 
 
+_PAIRS = ", ".join(["[0.125, -3]"] * 30)  # 329 characters of the saved layout
+
+
+@pytest.mark.parametrize(
+    "tail, valid",
+    [
+        ("[+1, 0]", False),
+        ("[01, 0]", False),
+        ("[1_0, 0]", False),
+        ("[\u0661, 0]", False),
+        ("[true, 1]", True),
+        ("[1, 2, 3]", False),
+        ("[1, 2]3, [4, 5]", False),
+        ("3[1, 0]", False),
+        ("[1,0]", True),
+        ("[1, 0] , [2, 0]", True),
+        ("[1, 0],  [2, 0]", True),
+    ],
+    ids=["plus", "leading-zero", "underscore", "arabic-indic-digit", "true", "ragged",
+         "joined-by-bracket", "digit-before-pair", "no-spaces", "spaced", "two-spaces"],
+)
+def test_load_agrees_with_json_loads_past_the_first_pairs(tmp_path, tail, valid):
+    # the same rules hold where the text leaves the saved layout only after
+    # its first few hundred characters
+    n = 30 + tail.count("[")
+    text = '{"dims": [%d], "offsets": [0], "values": [%s, %s]}' % (n, _PAIRS, tail)
+    p = tmp_path / "late.json"
+    p.write_text(text, encoding="utf-8")
+    if not valid:
+        with pytest.raises(ValueError, match="late.json"):
+            load_sequence(str(p))
+        return
+    expected = np.asarray(json.loads(text)["values"], dtype=float) @ np.array([1.0, 1.0j])
+    np.testing.assert_array_equal(load_sequence(str(p)).values, expected)
+
+
 @pytest.mark.parametrize("vals", [np.zeros(0), np.arange(5) - 2.5j, np.ones((2, 3)) * 1e-300])
 def test_saved_layout_is_parsed_without_the_json_fallback(tmp_path, vals):
     path = tmp_path / "a.json"
