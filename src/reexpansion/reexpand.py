@@ -234,7 +234,7 @@ def reexpand_weighted(a, spec: ReexpandSpec, algorithm: str = "fast") -> Weighte
         bad = [c for c in report.checks if not c.passed]
         warnings.append(
             f"boundary precondition failed for {len(bad)} face/order checks "
-            f"(worst |D^s f| = {max(c.max_abs for c in bad):.3e}); "
+            f"(|D^s f| <= {max(c.max_abs for c in bad):.3e} on those faces); "
             "the coefficient identity with the re-expansion of f is not guaranteed"
         )
 

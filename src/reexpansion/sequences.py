@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -130,27 +129,6 @@ class CoeffND:
     def axis_indices(self, axis: int) -> np.ndarray:
         return self.offsets[axis] + np.arange(self.values.shape[axis])
 
-    def slice1d(self, axis: int, fixed: Sequence[int]) -> "CoeffND":
-        """The 1-D sequence along ``axis`` with the other indices fixed.
-
-        ``fixed`` lists the frozen integer indices of the remaining axes
-        in order; indices outside the block give the zero sequence.
-        """
-        fixed = tuple(int(i) for i in fixed)
-        if len(fixed) != self.ndim - 1:
-            raise ValueError(f"need {self.ndim - 1} fixed indices, got {len(fixed)}")
-        sel: list = []
-        it = iter(fixed)
-        for ax in range(self.ndim):
-            if ax == axis:
-                sel.append(slice(None))
-                continue
-            i = next(it) - self.offsets[ax]
-            if not 0 <= i < self.values.shape[ax]:
-                return Coeff1D(0, np.zeros(0))
-            sel.append(i)
-        return Coeff1D(self.offsets[axis], self.values[tuple(sel)])
-
     @property
     def support(self) -> tuple[tuple[int, int], ...]:
         """Inclusive index window ``(lo, hi)`` of the stored block, per axis."""
@@ -255,10 +233,6 @@ class ParityVector:
 
     def __getitem__(self, j: int) -> int:
         return self.bits[j]
-
-    @property
-    def complement(self) -> "ParityVector":
-        return ParityVector(tuple(1 - b for b in self.bits))
 
 
 @dataclass(frozen=True)
@@ -426,28 +400,9 @@ def _phase_rows(k0: int, rows: int, t: np.ndarray, q: int = 0) -> np.ndarray:
 
 
 def _basis_matrix(k: np.ndarray, t: np.ndarray, parity: int, q: int) -> np.ndarray:
-    """Rows k, columns t: cos(k t + q pi/2) for parity 1, sin(...) else.
-
-    Direct cosines and sines, not :func:`_phase_rows`: the boundary
-    probes evaluate only a few points, and on a face their values near
-    1e-14 must agree with ``math.sin`` of the same product to 1e-13
-    relative, which the rotation's drift would break.
-    """
+    """Rows k, columns t: cos(k t + q pi/2) for parity 1, sin(...) else."""
     arg = np.outer(k, t) + q * np.pi / 2.0
     return np.cos(arg) if parity == 1 else np.sin(arg)
-
-
-def _series_grid(nd: CoeffND, eta: ParityVector, q: WeightExponent, ts) -> np.ndarray:
-    """The differentiated series on the product grid ts[0] x ... x ts[d-1].
-
-    One tensordot per axis with the basis matrix whose rows carry the
-    weights k_j^{q_j}; the result has one axis per grid axis.
-    """
-    acc = nd.values
-    for ax, w in enumerate(_axis_weights(nd, q)):
-        basis = _basis_matrix(nd.axis_indices(ax).astype(float), ts[ax], eta[ax], q[ax])
-        acc = np.tensordot(acc, w[:, None] * basis, axes=([0], [0]))
-    return acc
 
 
 def series_eval(
@@ -469,12 +424,16 @@ def series_eval(
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (d,):
         raise ValueError(f"evaluation point has shape {t.shape}, expected ({d},)")
-    return complex(_series_grid(a, eta, q, t[:, None]).sum())
+    acc = a.values
+    for ax, w in enumerate(_axis_weights(a, q)):
+        basis = _basis_matrix(a.axis_indices(ax).astype(float), t[ax : ax + 1], eta[ax], q[ax])
+        acc = np.tensordot(acc, w[:, None] * basis, axes=([0], [0]))
+    return complex(acc.sum())
 
 
 @dataclass(frozen=True)
 class FaceCheck:
-    """One boundary-vanishing check: derivative order, face, observed size."""
+    """One boundary-vanishing check: derivative order, face, bound on |D^s f|."""
 
     order: tuple[int, ...]
     axis: int
@@ -496,7 +455,18 @@ class BoundaryReport:
         return all(c.passed for c in self.checks)
 
 
-_FACE_PROBES = 17  # sample points per free axis when probing a face
+def _fold(b: np.ndarray, offset: int, axis: int, parity: int) -> np.ndarray:
+    """A cosine (parity 1) or sine series along ``axis``, first index ``offset``,
+    over k >= 0: -k is added onto k for cosine and subtracted for sine (sin 0t
+    drops out), on the block's own |k| range, so no longer than the block."""
+    lo, hi = offset, offset + b.shape[axis] - 1
+    bottom = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    top = max(-lo, hi)
+    out = window_axis(b, lo, axis, bottom, top)
+    out += (1 if parity else -1) * window_axis(np.flip(b, axis), -hi, axis, bottom, top)
+    if parity and bottom == 0:  # cos 0t was added twice; exact in binary
+        np.moveaxis(out, axis, 0)[0] *= 0.5
+    return out
 
 
 def boundary_vanish_check(
@@ -505,13 +475,15 @@ def boundary_vanish_check(
     q: WeightExponent,
     tol: float,
 ) -> BoundaryReport:
-    """Check D^s f on the faces t_j in {0, pi} for every order s with s_j < q_j.
+    """Check D^s f on the faces t_j in {0, pi} for every axis j and order s_j < q_j.
 
-    Faces are probed on a dense sample grid (not symbolically), so a
-    pass means "vanishes at every probe point within tol".  The report
-    also carries, per axis j, the two moment sums  sum_k a_k  and
-    sum_k (-1)^{k_j} a_k  (the coefficient form of f(0) = f(pi) = 0
-    in the one-dimensional case).
+    Exact, from the coefficients: on a face the j-th factor is 0, +-1 or
+    +-(-1)^{k_j}, so the restriction is one contraction of ``values`` along
+    j, with -k folded onto k on the other axes.  ``max_abs`` is its l1 norm,
+    a bound on |D^s f| over the face that is 0 iff the restriction vanishes.
+    Tangential derivatives vanish with it, so ``order`` is s_j at axis j and
+    0 elsewhere.  The report also carries, per axis j, the moment sums
+    sum_k a_k  and  sum_k (-1)^{k_j} a_k  (f(0) = f(pi) = 0 when d = 1).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -519,22 +491,22 @@ def boundary_vanish_check(
     _check_dim(d, eta, "parity vector")
     _check_dim(d, q, "weight exponent")
 
-    checks: list[FaceCheck] = []
-    grid = np.linspace(0.0, np.pi, _FACE_PROBES)
-    for s in itertools.product(*(range(qj) for qj in q.exponents)):
-        for ax in range(d):
-            ts = [grid] * d
-            ts[ax] = np.array([0.0, np.pi])
-            both = np.abs(_series_grid(a, eta, WeightExponent(s), ts))
-            for i, face in enumerate(ts[ax]):
-                worst = float(np.take(both, i, axis=ax).max())
-                checks.append(FaceCheck(tuple(s), ax, float(face), worst, worst <= tol))
-
-    total = complex(np.sum(a.values))
-    moments = []
+    checks, moments = [], []
     for ax in range(d):
-        signs = (-1.0) ** (a.axis_indices(ax) % 2)
-        moments.append((total, complex(np.sum(a.values * _on_axis(signs, ax, d)))))
+        folded = a.values
+        for other in range(d):
+            if other != ax:
+                folded = _fold(folded, a.offsets[other], other, eta[other])
+        k = a.axis_indices(ax)
+        signs = (-1.0) ** (k % 2)
+        for s in range(q[ax]):
+            u = (1, 0, -1, 0)[(s + eta[ax] - 1) % 4]  # cos or sin of s pi/2
+            order = tuple(s if i == ax else 0 for i in range(d))
+            for face, at_face in ((0.0, 1.0), (math.pi, signs)):
+                restricted = np.tensordot(folded, u * k.astype(float) ** s * at_face, ([ax], [0]))
+                bound = float(np.sum(np.abs(restricted)))
+                checks.append(FaceCheck(order, ax, face, bound, bound <= tol))
+        moments.append((complex(np.sum(a.values)), complex(np.sum(a.values * _on_axis(signs, ax, d)))))
     return BoundaryReport(tuple(checks), tuple(moments), float(tol))
 
 

@@ -228,15 +228,21 @@ def _require_rank1(denom: WeylDenomSq) -> None:
         raise ValueError("SU(2) operations need a rank-1 denominator table")
 
 
+def _table(denom: WeylDenomSq) -> np.ndarray:
+    """The rank-1 table D as a dense array on -span..span."""
+    _require_rank1(denom)
+    span = max(abs(nu) for (nu,) in denom.coeffs)
+    return np.array([denom.get(nu) for nu in range(-span, span + 1)], dtype=float)
+
+
 def _inner(a: CoeffND, denom: WeylDenomSq, bound: int) -> np.ndarray:
     """g(mu) = (1/|W|) sum_nu D(nu) a[mu + nu] on -bound..bound.
 
     D is symmetric, so the correlation is the convolution of the window
     of a widened by the span of D with the dense table.
     """
-    _require_rank1(denom)
-    span = max(abs(nu) for (nu,) in denom.coeffs)
-    table = np.array([denom.get(nu) for nu in range(-span, span + 1)], dtype=float)
+    table = _table(denom)
+    span = len(table) // 2
     wide = window_axis(a.values, a.offset, 0, -bound - span, bound + span)
     return np.convolve(wide, table, "valid") / _SU2_WEYL_ORDER
 
@@ -375,17 +381,17 @@ def condition_q1_sum(
         raise ValueError(f"mode must be one of {MODES}")
     two_lmax = _two_l(lmax)
     if mode == "paper":
-        return _partial_sums(np.abs(_inner(a, denom, two_lmax)), two_lmax, two_lmax)
+        return _partial_sums(np.abs(_inner(a, denom, two_lmax)), two_lmax)
     d = np.arange(1, two_lmax + 2)
     return np.cumsum(d * d * np.abs(_character_coeffs(a, two_lmax))).tolist()
 
 
-def _partial_sums(x: np.ndarray, center: int, two_lmax: int) -> list[float]:
-    """Cumulative sums of (2l + 1) sum_m x[center + mu_m] over 2l <= two_lmax.
+def _partial_sums(x: np.ndarray, two_lmax: int) -> list[float]:
+    """Cumulative sums of (2l + 1) sum_m x(mu_m) over 2l <= two_lmax, x on -two_lmax..two_lmax.
 
     Level 2l adds the pair mu = +-2l to level 2l - 2: one cumsum per parity class."""
-    level = x[center : center + two_lmax + 1].copy()
-    level[1:] += x[center - two_lmax : center][::-1]
+    level = x[two_lmax:].copy()
+    level[1:] += x[:two_lmax][::-1]
     level[0::2] = np.cumsum(level[0::2])
     level[1::2] = np.cumsum(level[1::2])
     return np.cumsum(np.arange(1, two_lmax + 2) * level).tolist()
@@ -415,8 +421,8 @@ def q2_diagnostic(
 
     g is the weight-indexed inner sequence g(mu) = (1/|W|) sum_nu
     D(nu) a[mu + nu] (the paper-mode diagonal values), regarded as a
-    sequence over the integer weight lattice windowed to
-    |mu| <= 2 lmax + 8, and h is the full discrete Hilbert transform.
+    sequence over the integer weight lattice (its whole support), and
+    h is the full discrete Hilbert transform.
     The plain side is :func:`condition_q1_sum` in the requested mode.
     The comparison is reported as data; no constant is adjudicated.
     """
@@ -425,12 +431,13 @@ def q2_diagnostic(
     parity = parity_check(a)
     if parity != "even":
         warnings.warn(f"q2_diagnostic expects an even sequence, got {parity}", stacklevel=2)
-    bound = 2 * two_lmax + 8
-    g = Coeff1D(-bound, _inner(a, denom, bound))
-    hg = np.abs(dht_full(g, (-bound, bound)).values)
+    table, g = _table(denom), a.trim()
+    if len(g):  # a * D / |W| over a's whole support widened by D's span
+        g = Coeff1D(g.offset - len(table) // 2, np.convolve(g.values, table) / _SU2_WEYL_ORDER)
+    hg = np.abs(dht_full(g, (-two_lmax, two_lmax)).values)
     return Q2Diagnostic(
         two_l=tuple(range(two_lmax + 1)),
-        hilbert_side=tuple(_partial_sums(hg, bound, two_lmax)),
+        hilbert_side=tuple(_partial_sums(hg, two_lmax)),
         plain_side=tuple(condition_q1_sum(a, lmax, denom, mode)),
         parity=parity,
     )

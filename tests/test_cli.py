@@ -133,6 +133,17 @@ def test_reexpand_dimension_mismatch(tmp_path, impulse_file):
     assert code == 2
 
 
+def test_reexpand_warns_on_a_face_of_an_axis_with_weight_zero(tmp_path, capsys):
+    # f = cos t1 sin 3 t2 is nonzero on t1 = 0; q = (1, 0) still asks it to vanish there
+    path = tmp_path / "a.json"
+    save_sequence(CoeffND((1, 3), [[1.0]]), str(path))
+    assert main(["reexpand", "--input", str(path), "--parity", "10", "--weight", "1,0",
+                 "--box", "0:4,0:4", "--output", str(tmp_path / "o.json")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: boundary precondition failed for 2 face/order checks")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "parity, weight, axis",  # the target parity eta_j xor (q_j mod 2) sets the floor
     [("1", None, 0), ("0", "1", 0), ("01", "0,2", 1)],

@@ -43,3 +43,11 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_library_stays_within_its_line_budget():
+    # deletions pay for features: the library may not grow past 2,531 lines
+    total = sum(
+        len(path.read_text().splitlines()) for path in (ROOT / "src" / "reexpansion").glob("*.py")
+    )
+    assert total <= 2531, f"src/reexpansion/*.py is {total} lines, over the 2,531 budget"

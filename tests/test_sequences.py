@@ -315,32 +315,84 @@ def test_boundary_check_zero_sequence_passes_all_orders():
     assert len(report.checks) == 3 * 2  # three orders, two faces
 
 
-def _probe_reference(nd, eta, q, tol, probes=17):
+def test_boundary_check_sees_a_face_frequency_that_sampling_aliases():
+    # f = cos t1 sin 16 t2 is 1 at (0, pi/32), between zeros of sin 16 t2
+    a = CoeffND((1, 16), [[1.0]])
+    report = boundary_vanish_check(a, ParityVector.from_string("10"), WeightExponent((1, 1)), 1e-9)
+    assert not report.passed
+    assert [(c.axis, c.face, c.max_abs) for c in report.checks if not c.passed] == [
+        (0, 0.0, 1.0), (0, math.pi, 1.0)
+    ]
+
+
+def test_boundary_check_keeps_axes_whose_exponent_is_zero():
+    # q = (1, 0) still asks f = cos t1 sin 3 t2 to vanish on the faces t1 in {0, pi}
+    a = CoeffND((1, 3), [[1.0]])
+    report = boundary_vanish_check(a, ParityVector.from_string("10"), WeightExponent((1, 0)), 1e-9)
+    assert [(c.order, c.axis, c.passed) for c in report.checks] == [
+        ((0, 0), 0, False), ((0, 0), 0, False)
+    ]
+
+
+@pytest.mark.parametrize("offsets, values, eta, bound", [
+    ((1, 0), [[1.0]], "11", 1.0),  # cos t1: the face t1 = 0 sees the constant 1
+    ((1, 0), [[1.0]], "10", 0.0),  # cos t1 sin 0t2 is zero everywhere
+    ((1, -1), [[0.5, 0.0, 0.5]], "11", 1.0),  # cos(-t2) folds onto cos t2
+    ((1, -1), [[0.5, 0.0, -0.5]], "10", 1.0),  # sin(-t2) folds onto -sin t2
+    ((1, -1), [[0.5, 0.0, 0.5]], "10", 0.0),  # and cancels sin t2
+])
+def test_boundary_bound_is_the_size_of_a_one_term_restriction(offsets, values, eta, bound):
+    report = boundary_vanish_check(
+        CoeffND(offsets, values), ParityVector.from_string(eta), WeightExponent((1, 0)), 1e-9
+    )
+    assert [(c.axis, c.max_abs) for c in report.checks] == [(0, bound), (0, bound)]
+
+
+def test_boundary_check_of_a_far_block_allocates_no_window_from_zero():
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    a = CoeffND((10**6,) * 3, rng.standard_normal((3, 4, 2)))
+    tracemalloc.start()
+    try:
+        report = boundary_vanish_check(a, ParityVector((1, 0, 1)), WeightExponent((1, 1, 1)), 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.checks) == 6 and not report.passed
+    assert peak < 64 * 1024  # a window from -10^6 to 10^6 would take 32 MB per axis
+
+
+def _probe_reference(nd, eta, q):
     """Face checks by a literal loop: one term at a time, one probe point at a time.
 
-    Each check also carries the largest sum of |term| over its probes, the
-    scale of the rounding error in its max_abs."""
-    grid = np.linspace(0.0, np.pi, probes)
+    Each free axis takes 2 max|k| + 2 equispaced probes on [0, pi], more than
+    a trigonometric polynomial of that degree can vanish at without vanishing,
+    so the sampling cannot alias.  Each check also carries the sum of
+    |a_k| k^s, which bounds every term: the scale of the rounding error."""
+    top = max([abs(k) for lo, hi in nd.support for k in (lo, hi)], default=0)
+    grid = np.linspace(0.0, np.pi, 2 * top + 2)
     entries = [
         (tuple(o + i for o, i in zip(nd.offsets, idx)), complex(nd.values[idx]))
         for idx in np.ndindex(*nd.dims)
     ]
     checks = []
-    for s in itertools.product(*(range(qj) for qj in q.exponents)):
-        for ax in range(nd.ndim):
+    for ax in range(nd.ndim):
+        for sj in range(q[ax]):
+            s = tuple(sj if i == ax else 0 for i in range(nd.ndim))
             for face in (0.0, np.pi):
-                worst = size = 0.0
+                worst = 0.0
                 for pt in itertools.product(*([face] if i == ax else grid for i in range(nd.ndim))):
-                    total, terms = 0j, 0.0
+                    total = 0j
                     for k, v in entries:
                         term = v
-                        for kj, tj, ej, sj in zip(k, pt, eta.bits, s):
-                            arg = kj * tj + sj * math.pi / 2
-                            term *= float(kj) ** sj * (math.cos(arg) if ej else math.sin(arg))
+                        for kj, tj, ej, si in zip(k, pt, eta.bits, s):
+                            arg = kj * tj + si * math.pi / 2
+                            term *= float(kj) ** si * (math.cos(arg) if ej else math.sin(arg))
                         total += term
-                        terms += abs(term)
-                    worst, size = max(worst, abs(total)), max(size, terms)
-                checks.append((s, ax, face, worst, worst <= tol, size))
+                    worst = max(worst, abs(total))
+                size = sum(abs(v) * abs(float(k[ax])) ** sj for k, v in entries)
+                checks.append((s, ax, face, worst, size))
     return checks
 
 
@@ -357,16 +409,23 @@ def _probe_reference(nd, eta, q, tol, probes=17):
     ],
 )
 def test_boundary_check_matches_per_point_loop(offsets, dims, eta, q):
+    """The exact face rule against dense sampling: the same orders (s_j on
+    axis j alone), the same verdicts, and a max_abs that bounds every sample."""
     rng = np.random.default_rng(sum(dims) + 10 * len(dims))
     vals = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
     nd, eta, q, tol = CoeffND(offsets, vals), ParityVector(eta), WeightExponent(q), 1e-9
     report = boundary_vanish_check(nd, eta, q, tol)
-    ref = _probe_reference(nd, eta, q, tol)
-    assert [(c.order, c.axis, c.face) for c in report.checks] == [r[:3] for r in ref]
-    for c, (_, _, _, worst, passed, size) in zip(report.checks, ref):
-        assert abs(c.max_abs - worst) <= 1e-13 * max(worst, size)
-        assert c.passed == passed
-    if nd.values.size and report.checks:  # both outcomes occur on random input
+    ref = _probe_reference(nd, eta, q)
+    for ax in range(nd.ndim):
+        want = [(c[0], c[2]) for c in ref if c[1] == ax]
+        assert [(c.order, c.face) for c in report.checks if c.axis == ax] == want
+    assert len(report.checks) == len(ref) == 2 * sum(q.exponents)
+    for c, (_, _, _, worst, size) in zip(report.checks, ref):
+        assert c.passed == (worst <= tol)
+        assert c.max_abs >= worst - 1e-13 * size
+        if nd.ndim == 1:  # a face is a point, where the bound is the value
+            assert abs(c.max_abs - worst) <= 1e-13 * size
+    if nd.values.size:  # both outcomes occur on random input
         assert {c.passed for c in report.checks} == {True, False}
 
 
@@ -412,7 +471,6 @@ _ONE_D_RESULTS = {
     "sin_to_cos": lambda tmp: sin_to_cos(_SEQ, (1, 6)),
     "weight_apply": lambda tmp: weight_apply(_SEQ, WeightExponent((2,))),
     "trim": lambda tmp: Coeff1D(0, [0.0, 0.0, 3.0, 0.0, 1.0j, 0.0]).trim(),
-    "slice1d": lambda tmp: CoeffND((1, 4), np.arange(12.0).reshape(4, 3)).slice1d(0, (5,)),
     "load_sequence": _saved_and_loaded,
     "from_dict": lambda tmp: Coeff1D.from_dict({3: 1.0, 6: -2.0}),
     "impulse": lambda tmp: Coeff1D.impulse(4, 2.5),
@@ -657,23 +715,11 @@ def test_load_accepts_integer_values(tmp_path):
     np.testing.assert_array_equal(b.values, [[1.0], [-2.0j]])
 
 
-def test_slice1d_extracts_axis_profiles():
-    vals = np.arange(12.0).reshape(3, 4)
-    a = CoeffND((1, -1), vals)
-    row = a.slice1d(1, (2,))  # axis 1 with first index fixed at 2
-    assert row.offset == -1
-    np.testing.assert_array_equal(row.values, vals[1])
-    col = a.slice1d(0, (0,))
-    np.testing.assert_array_equal(col.values, vals[:, 1])
-    assert len(a.slice1d(0, (99,))) == 0
-
-
 def test_parity_vector_validation():
     with pytest.raises(ValueError):
         ParityVector((0, 2))
     with pytest.raises(ValueError):
         ParityVector.from_string("1a")
-    assert ParityVector.from_string("10").complement.bits == (0, 1)
 
 
 def test_weight_exponent_validation():

@@ -378,6 +378,22 @@ class TestQ2Diagnostic:
             expected.append(acc)
         np.testing.assert_allclose(d.hilbert_side, expected, atol=1e-10)
 
+    def test_hilbert_side_transforms_the_whole_inner_sequence(self):
+        # g reaches mu = +-32, beyond any window tied to lmax = 5
+        a = Coeff1D.from_dict({-30: 1.0, -1: 1.0, 1: 1.0, 30: 1.0})
+        d = q2_diagnostic(a, 5, DNN)
+        g = {}
+        for k in range(-40, 41):
+            g[k] = 0.5 * sum(c * a[k + nu[0]] for nu, c in DNN.coeffs.items())
+        support = [k for k, v in g.items() if v != 0]
+        assert (min(support), max(support)) == (-32, 32)
+        expected, acc = [], 0.0
+        for two_l in range(0, 11):
+            for mu in range(-two_l, two_l + 1, 2):
+                acc += (two_l + 1) * abs(sum(g[k] / (mu - k) for k in support if k != mu))
+            expected.append(acc)
+        np.testing.assert_allclose(d.hilbert_side, expected, rtol=1e-13, atol=1e-13)
+
     def test_chi1_character_plain_side_constant(self):
         d = q2_diagnostic(chi_restriction(1), 10, DNN, mode="character")
         np.testing.assert_allclose(d.plain_side[2:], [3.0] * 19, atol=1e-13)
