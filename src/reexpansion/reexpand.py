@@ -82,11 +82,12 @@ DIVERGING_RATIO = 0.85
 # bound on one axis's basis work in the fine pass, counted as the bytes
 # its (support + window) x nodes basis values would fill if held whole
 _ORACLE_MAX_BYTES = 10**9
-# complex entries in one node chunk of the oracle's phase tables (4 MB).
-# 2**16 to 2**18 run equally fast, but after freeing 1 MB tables a later
+# complex entries in the oracle's phase table, one 4 MB buffer per axis
+# pass.  2**16 to 2**18 run equally fast, but with 1 MB buffers a later
 # 2^15-point FFT call in the same process ran slow enough that
-# criterion 2 read 2.9 (glibc trims its heap at twice the largest block
-# freed so far, so its work arrays were likely faulted in afresh).
+# criterion 2 read 2.9-3.2, in 6 of 6 runs after criterion 1 (2.0-2.1
+# at 2**18): glibc trims its heap at twice the largest block freed so
+# far, so its work arrays were likely faulted in afresh.
 _ORACLE_CHUNK_ELEMS = 2**18
 
 
@@ -278,48 +279,56 @@ def reexpand_weighted(a, spec: ReexpandSpec, algorithm: str = "fast") -> Weighte
 
 
 def _axis_integrals(
-    k0: int,
-    nk: int,
-    m0: int,
-    nm: int,
-    eta_bit: int,
-    q: int,
-    panels: int,
+    k0: int, nk: int, m0: int, nm: int, eta_bit: int, q: int, panels: int, acc=None
 ) -> np.ndarray:
     """G[k, m] = integral over [0, pi] of source basis x target basis,
-    for k = k0..k0+nk-1 and m = m0..m0+nm-1.
+    for k = k0..k0+nk-1 and m = m0..m0+nm-1; given ``acc``, whose first
+    axis runs over k, acc contracted with G instead (m axis last).
 
     Source: cos(k t + q pi/2) if eta_bit else sin(k t + q pi/2);
     target: sin(m t + q pi/2) if eta_bit else cos(m t + q pi/2).
-    Both bases are evaluated at every node of the grid, as the real or
-    imaginary part of a phase table, one chunk of nodes at a time, and
-    each chunk's weighted products are summed into G.  Memory stays at
-    one chunk's tables, never a whole (k or m) x nodes table.
+    Both bases are evaluated at every node, as the real or imaginary
+    part of a phase table, one chunk of nodes at a time in one buffer,
+    so memory stays at one chunk's table.  The products take the
+    cheaper matrix chain: with R = acc.size / nk, when R (nk + nm) <
+    nk nm (always in 1-D) each chunk evaluates the series acc^T . source
+    at its nodes and integrates it against the target basis; otherwise
+    each chunk's weighted products are summed into G.
     """
     t, w = gauss_legendre_grid(0.0, np.pi, panels)
     lo = min(k0, m0)
     rows = max(k0 + nk, m0 + nm) - lo
     shared = rows <= nk + nm  # overlapping ranges: one table holds both
-    g = np.zeros((nk, nm))
-    for c in _node_chunks(t.size, rows if shared else nk + nm, _ORACLE_CHUNK_ELEMS):
+    height = rows if shared else nk + nm
+    chunks = list(_node_chunks(t.size, height, _ORACLE_CHUNK_ELEMS))
+    table = np.empty((height, t[chunks[0]].size), np.complex128)
+    a = None if acc is None else acc.reshape(nk, -1)
+    series = a is not None and a.shape[1] * (nk + nm) < nk * nm
+    if series:  # as real columns re, im, re, im, ...
+        a = np.ascontiguousarray(a, np.complex128).view(np.float64)
+    g = np.zeros((a.shape[1] if series else nk, nm))
+    for c in chunks:
         if shared:
-            table = _phase_rows(lo, rows, t[c], q)
-            src, tgt = table[k0 - lo : k0 - lo + nk], table[m0 - lo : m0 - lo + nm]
+            tab = _phase_rows(lo, rows, t[c], q, table)
+            src, tgt = tab[k0 - lo : k0 - lo + nk], tab[m0 - lo : m0 - lo + nm]
         else:
-            src, tgt = _phase_rows(k0, nk, t[c], q), _phase_rows(m0, nm, t[c], q)
+            src, tgt = _phase_rows(k0, nk, t[c], q, table[:nk]), _phase_rows(m0, nm, t[c], q, table[nk:])
         src, tgt = (src.real, tgt.imag) if eta_bit else (src.imag, tgt.real)
         # BLAS needs unit strides; the .real/.imag views step over pairs
-        g += (src * w[c]) @ np.ascontiguousarray(tgt).T
-    return g
+        f = a.T @ np.ascontiguousarray(src) if series else src  # the series at the nodes, or the basis
+        g += (f * w[c]) @ np.ascontiguousarray(tgt).T
+    if acc is None:
+        return g
+    g = g[0::2] + 1j * g[1::2] if series else a.T @ g
+    return g.reshape(acc.shape[1:] + (nm,))
 
 
 def _oracle_values(nd, eta, q, box, panel_counts) -> np.ndarray:
     acc = weight_apply(nd, q).values
     for ax, (lo, hi) in enumerate(box):
-        g = _axis_integrals(
-            nd.offsets[ax], nd.dims[ax], lo, hi - lo + 1, eta[ax], q[ax], panel_counts[ax]
+        acc = _axis_integrals(
+            nd.offsets[ax], nd.dims[ax], lo, hi - lo + 1, eta[ax], q[ax], panel_counts[ax], acc
         )
-        acc = np.tensordot(acc, g, axes=([0], [0]))
     return acc * TWO_OVER_PI ** nd.ndim
 
 
@@ -337,9 +346,13 @@ def quadrature_oracle_box(
     panels (16 nodes each, 4*(max frequency + |m| + 1) panels per
     axis).  The whole box is confirmed by one refinement step with
     doubled panels; disagreement beyond ``tol`` raises rather than
-    returning a silent result.  The bases are built chunk by chunk of
-    nodes, so memory stays near one chunk's tables; the work still
-    grows with (support + window) x nodes.  A box whose fine-pass basis
+    returning a silent result, as does a coefficient that is not
+    finite.  The bases are built chunk by chunk of nodes in one table
+    buffer, so memory stays near one chunk's table; the work still
+    grows with (support + window) x nodes.  Per axis, either the series
+    is evaluated at the nodes and then integrated (always in 1-D), or
+    the whole support x window matrix of integrals is formed, whichever
+    is the cheaper product for the shapes.  A box whose fine-pass basis
     values on one axis, (support + window) x 16 x 2 panels x 8 bytes,
     would pass 1 GB is refused with a ``ValueError`` before any basis
     is evaluated.

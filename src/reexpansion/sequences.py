@@ -355,11 +355,12 @@ def _refined(integrate, tol: float):
     """integrate(2), once integrate(1) confirms it within ``tol``.
 
     ``integrate(r)`` is a quadrature with r times its base panel count;
-    a largest absolute gap beyond ``tol`` raises RuntimeError.
+    a largest absolute gap beyond ``tol``, or not finite, raises
+    RuntimeError.
     """
     coarse, fine = integrate(1), integrate(2)
     gap = float(np.max(np.abs(coarse - fine)))
-    if gap > tol:
+    if not gap <= tol:  # a NaN gap fails too
         raise RuntimeError(
             f"quadrature failed to confirm tolerance {tol:g} "
             f"(refinement moved results by {gap:.3e})"
@@ -374,7 +375,7 @@ def _node_chunks(nodes: int, rows: int, elems: int):
     return (slice(s, s + step) for s in range(0, nodes, step))
 
 
-def _phase_rows(k0: int, rows: int, t: np.ndarray, q: int = 0) -> np.ndarray:
+def _phase_rows(k0: int, rows: int, t: np.ndarray, q: int = 0, out=None) -> np.ndarray:
     """Rows k = k0..k0+rows-1, columns t: e^{i(k t + q pi/2)}, by rotation.
 
     The first row is one direct ``np.exp``.  Once rows 0..n-1 are filled,
@@ -383,9 +384,11 @@ def _phase_rows(k0: int, rows: int, t: np.ndarray, q: int = 0) -> np.ndarray:
     exponentials per node, not one cosine per entry, and only about
     log2(rows) numpy calls, so narrow node chunks stay cheap.  Row r
     stays within (|k0| + r) * 1e-15 of the direct exponential, the order
-    of the rounding of k t itself, as with one rotation per row.
+    of the rounding of k t itself, as with one rotation per row.  With
+    ``out`` (complex, at least rows x t.size) the table fills its
+    leading block, which is returned.
     """
-    out = np.empty((rows, t.size), dtype=np.complex128)
+    out = (np.empty((rows, t.size), np.complex128) if out is None else out)[:rows, : t.size]
     if rows:
         out[0] = np.exp(1j * (k0 * t + q * np.pi / 2.0))
         turn = np.exp(1j * t)

@@ -236,6 +236,16 @@ class TestQuadratureOracle:
         with pytest.raises(RuntimeError, match="quadrature failed to confirm tolerance 0 "):
             quadrature_oracle(E1, COS, Q0, 2, tol=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_box_of_a_non_finite_coefficient_raises(self, bad):
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="moved results by nan"):
+            quadrature_oracle_box(Coeff1D(1, [1.0, bad, 2.0]), COS, Q0, [(1, 5)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_coefficient_of_a_non_finite_series_raises(self, bad):
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="moved results by nan"):
+            quadrature_oracle(Coeff1D(1, [1.0, bad, 2.0]), SIN, Q0, 2)
+
     @pytest.mark.parametrize("a", [E1, Coeff1D(0, [0.0])], ids=["impulse", "zero"])
     def test_empty_box_axis_is_refused(self, a):
         with pytest.raises(ValueError, match=r"empty box axis \[5, 3\]"):
@@ -263,6 +273,33 @@ class TestQuadratureOracle:
         want = src @ (w[:, None] * tgt.T)
         got = _axis_integrals(k0, nk, m0, nm, eta_bit, q, panels)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # one column evaluates the series at the nodes first; nk columns
+        # meet R (nk + nm) >= nk nm and contract with G
+        rng = np.random.default_rng(nk + nm)
+        for cols in (1, nk):
+            for acc in (rng.standard_normal((nk, cols)),
+                        rng.standard_normal((nk, cols)) + 1j * rng.standard_normal((nk, cols))):
+                expect = acc.T @ want
+                got = _axis_integrals(k0, nk, m0, nm, eta_bit, q, panels, acc)
+                assert got.shape == (cols, nm)
+                assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_oracle_calls_nothing_in_hilbert(self, monkeypatch):
+        from reexpansion import hilbert
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the quadrature oracle reached hilbert")
+
+        for name in ("_recip", "_naive", "rfft", "irfft"):
+            monkeypatch.setattr(hilbert, name, unreachable)
+        rng = np.random.default_rng(46)
+        # 1-D complex: the series at the nodes first; 2-D 8 x 8 -> 33^2: through G
+        a = Coeff1D(1, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        got = quadrature_oracle_box(a, SIN, WeightExponent((1,)), [(0, 40)])
+        assert got.values.dtype == np.complex128 and np.any(got.values.imag != 0)
+        grid = CoeffND((1, 1), rng.standard_normal((8, 8)))
+        got = quadrature_oracle_box(grid, ParityVector((1, 0)), WeightExponent.zero(2), [(1, 33), (0, 32)])
+        assert got.dims == (33, 33)
 
     def test_far_offset_box_matches_map(self):
         rng = np.random.default_rng(44)

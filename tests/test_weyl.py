@@ -251,6 +251,11 @@ class TestCharacterCoeff:
         with pytest.raises(RuntimeError, match="quadrature failed to confirm tolerance 0 "):
             character_coeff_quadrature(a, 1, tol=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_quadrature_of_a_non_finite_coefficient_raises(self, bad):
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="moved results by nan"):
+            character_coeff_quadrature(Coeff1D(1, [1.0, bad, 2.0]), 1)
+
     def test_orthonormality_exact_rational(self):
         # (1/|W|) (1/2pi) int chi_l chi_l' |Delta|^2 = delta_{ll'},
         # evaluated in exact integer arithmetic from the finite supports.
