@@ -38,7 +38,8 @@ print()
 good = Coeff1D.from_dict({1: 1, 3: -1})
 show(summability_report(good, "even_halved", WINDOWS))
 print("\nThe transform decays like n^-3, so the windowed norms saturate:")
-print("increments fall by ~4x per doubling and the hint reads converging.")
+print("increments fall by ~4x per doubling.  The verdict needs no window:")
+print("both moment sums vanish, so the whole transform is l1.")
 
 print()
 print("=" * 72)
@@ -48,7 +49,8 @@ print()
 bad = Coeff1D.impulse(1)
 show(summability_report(bad, "even_halved", WINDOWS))
 print("\nHere b_n ~ 2/n on even n, the increments approach ln 2 per")
-print(f"doubling ({np.log(2):.4f}), and the norms grow without bound.")
+print(f"doubling ({np.log(2):.4f}), and the norms grow without bound:")
+print("(|sum_odd| + |sum_even|) ln 2 per doubling, read from the moment sums.")
 
 print()
 print("=" * 72)

@@ -267,6 +267,13 @@ def _check_dim(d: int, obj, name: str) -> None:
         raise ValueError(f"{name} has length {len(obj)}, expected {d}")
 
 
+def _require_finite(a: CoeffND) -> CoeffND:
+    """``a`` itself; ValueError if a coefficient is NaN or infinite."""
+    if not np.isfinite(a.values).all():
+        raise ValueError("coefficients must be finite, found NaN or infinity")
+    return a
+
+
 def l1_norm(a: CoeffND) -> float:
     """Sum of absolute values over the support; 0 iff a is zero."""
     return float(np.sum(np.abs(a.values)))

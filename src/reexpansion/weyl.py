@@ -16,7 +16,7 @@ expands prod (e^{i(alpha,t)} + e^{-i(alpha,t)} - 2), which differs by
 
 Every SU(2) sum is read from two objects.  The inner sequence
 g(mu) = (1/|W|) sum_nu D(nu) a[mu + nu] of a rank-1 table D is one
-convolution of a dense window of a with D (D is symmetric), and the
+convolution of a's whole support with D (D is symmetric), and the
 paper-mode diagonal at highest weight l is g at the weights of l.
 Against |Delta|^2 the character coefficient telescopes to
 c_l = (a_{2l} + a_{-2l} - a_{2l+2} - a_{-2l-2}) / (2 (2l + 1)).
@@ -33,8 +33,8 @@ import numpy as np
 
 from .hilbert import dht_full
 from .sequences import (
-    PANELS_PER_UNIT, Coeff1D, CoeffND, _node_chunks, _phase_rows, _refined, gauss_legendre_grid,
-    window_axis,
+    PANELS_PER_UNIT, Coeff1D, CoeffND, _node_chunks, _phase_rows, _refined, _require_finite,
+    gauss_legendre_grid, window_axis,
 )
 
 __all__ = [
@@ -223,28 +223,24 @@ def su2_character(l, t):
     return float(out[0]) if scalar else out
 
 
-def _require_rank1(denom: WeylDenomSq) -> None:
-    if denom.rank != 1:
-        raise ValueError("SU(2) operations need a rank-1 denominator table")
-
-
 def _table(denom: WeylDenomSq) -> np.ndarray:
     """The rank-1 table D as a dense array on -span..span."""
-    _require_rank1(denom)
+    if denom.rank != 1:
+        raise ValueError("SU(2) operations need a rank-1 denominator table")
     span = max(abs(nu) for (nu,) in denom.coeffs)
     return np.array([denom.get(nu) for nu in range(-span, span + 1)], dtype=float)
 
 
-def _inner(a: CoeffND, denom: WeylDenomSq, bound: int) -> np.ndarray:
-    """g(mu) = (1/|W|) sum_nu D(nu) a[mu + nu] on -bound..bound.
+def _inner(a: CoeffND, denom: WeylDenomSq) -> CoeffND:
+    """g(mu) = (1/|W|) sum_nu D(nu) a[mu + nu] over its whole support.
 
-    D is symmetric, so the correlation is the convolution of the window
-    of a widened by the span of D with the dense table.
+    D is symmetric, so g is the convolution a * D / |W|, on a's block
+    widened by the span of D.
     """
     table = _table(denom)
-    span = len(table) // 2
-    wide = window_axis(a.values, a.offset, 0, -bound - span, bound + span)
-    return np.convolve(wide, table, "valid") / _SU2_WEYL_ORDER
+    if not len(a):  # np.convolve refuses an empty operand
+        return a
+    return Coeff1D(a.offset - len(table) // 2, np.convolve(a.values, table) / _SU2_WEYL_ORDER)
 
 
 def _character_coeffs(a: CoeffND, two_lmax: int) -> np.ndarray:
@@ -260,7 +256,8 @@ def _diagonals(a: CoeffND, two_lmax: int, denom: WeylDenomSq, mode: str) -> list
         raise ValueError(f"mode must be one of {MODES}")
     if mode == "character":
         return [np.full(t + 1, c) for t, c in enumerate(_character_coeffs(a, two_lmax))]
-    g = _inner(a, denom, two_lmax)
+    g = _inner(a, denom)
+    g = window_axis(g.values, g.offset, 0, -two_lmax, two_lmax)
     return [g[two_lmax - t : two_lmax + t + 1 : 2] for t in range(two_lmax + 1)]
 
 
@@ -292,11 +289,12 @@ def character_coeff_quadrature(a: CoeffND, l, tol: float = 1e-10) -> complex:
     """Numerical cross-check of :func:`character_coeff`.
 
     Composite Gauss-Legendre on [-pi, pi] with one confirming
-    refinement; raises if the refinement moves the value beyond tol.
-    The series is evaluated at every node from phase tables built by
-    rotation over chunks of nodes, each table no larger than one array
-    over the nodes, so memory stays O(nodes) whatever the support.
+    refinement; raises if it moves the value beyond tol (ValueError
+    first for a coefficient that is not finite).  The series is
+    evaluated at every node from phase tables built by rotation over
+    node chunks, each no larger than one array over the nodes.
     """
+    _require_finite(a)
     two_l = _two_l(l)
     d = two_l + 1
     kmax = int(np.max(np.abs(a.indices()))) if len(a) else 0
@@ -381,7 +379,8 @@ def condition_q1_sum(
         raise ValueError(f"mode must be one of {MODES}")
     two_lmax = _two_l(lmax)
     if mode == "paper":
-        return _partial_sums(np.abs(_inner(a, denom, two_lmax)), two_lmax)
+        g = _inner(a, denom)
+        return _partial_sums(np.abs(window_axis(g.values, g.offset, 0, -two_lmax, two_lmax)), two_lmax)
     d = np.arange(1, two_lmax + 2)
     return np.cumsum(d * d * np.abs(_character_coeffs(a, two_lmax))).tolist()
 
@@ -426,14 +425,11 @@ def q2_diagnostic(
     The plain side is :func:`condition_q1_sum` in the requested mode.
     The comparison is reported as data; no constant is adjudicated.
     """
-    _require_rank1(denom)
+    g = _inner(a, denom)  # a table of rank other than 1 is refused before any warning
     two_lmax = _two_l(lmax)
     parity = parity_check(a)
     if parity != "even":
         warnings.warn(f"q2_diagnostic expects an even sequence, got {parity}", stacklevel=2)
-    table, g = _table(denom), a.trim()
-    if len(g):  # a * D / |W| over a's whole support widened by D's span
-        g = Coeff1D(g.offset - len(table) // 2, np.convolve(g.values, table) / _SU2_WEYL_ORDER)
     hg = np.abs(dht_full(g, (-two_lmax, two_lmax)).values)
     return Q2Diagnostic(
         two_l=tuple(range(two_lmax + 1)),

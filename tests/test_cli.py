@@ -212,6 +212,20 @@ def test_sufficiency_fixture(tmp_path, capsys):
     assert norms == sorted(norms)
 
 
+def test_sufficiency_weight_overflow_is_a_usage_error(tmp_path, capsys):
+    # 1000^400 overflows: the weighted input is refused before any transform
+    path = tmp_path / "a.json"
+    save_sequence(Coeff1D.from_dict({1000: 1}), str(path))
+    out = tmp_path / "rep.csv"
+    code = main(["sufficiency", "--input", str(path), "--kind", "even_halved",
+                 "--windows", "8,16", "--weight", "400", "--output", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: coefficients must be finite, found NaN or infinity\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_su2_sufficiency_prints_value(impulse_file, capsys):
     code = main(["su2", "--op", "sufficiency", "--input", impulse_file(3)])
     assert code == 0

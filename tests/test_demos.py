@@ -1,4 +1,5 @@
-"""Run every demo script end to end in a fresh interpreter."""
+"""Run every demo script end to end in a fresh interpreter, with every
+warning an error: a library warning in a demo fails the test."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

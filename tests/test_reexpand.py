@@ -8,6 +8,7 @@ independent Gauss-Legendre oracle.
 
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -238,12 +239,15 @@ class TestQuadratureOracle:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_box_of_a_non_finite_coefficient_raises(self, bad):
-        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="moved results by nan"):
+        # the input is named before any quadrature runs, and numpy warns of nothing
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="coefficients must be finite"):
+            warnings.simplefilter("error")
             quadrature_oracle_box(Coeff1D(1, [1.0, bad, 2.0]), COS, Q0, [(1, 5)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_coefficient_of_a_non_finite_series_raises(self, bad):
-        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="moved results by nan"):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="coefficients must be finite"):
+            warnings.simplefilter("error")
             quadrature_oracle(Coeff1D(1, [1.0, bad, 2.0]), SIN, Q0, 2)
 
     @pytest.mark.parametrize("a", [E1, Coeff1D(0, [0.0])], ids=["impulse", "zero"])
@@ -486,3 +490,69 @@ class TestSummabilityReport:
         # |k|-weighted logarithm for two-sided support
         np.testing.assert_allclose(rep.log_weighted, 2 * np.log(3), atol=1e-14)
         assert rep.norms[-1] > 0
+
+    def test_small_moment_diverges(self):
+        # M_0 = 1e-6: the increments still halve per doubling up to 1024, and
+        # the 2 |M_0| ln 2 growth shows only past n ~ |M_1| / |M_0|
+        rep = summability_report(Coeff1D.from_dict({1: 1, 2: -1 + 1e-6}), "full", self.WINDOWS)
+        assert rep.verdict_hint == "diverging"
+        between = rep.increments[1:]
+        assert all(cur <= 0.6 * prev for prev, cur in zip(between, between[1:]))
+
+    def test_level_increments_get_a_verdict(self):
+        # increments 89, 28, 23, 22.4, 22.2: no window trend, but M_0 = 16
+        rep = summability_report(Coeff1D(32, np.ones(16)), "full", self.WINDOWS)
+        assert rep.verdict_hint == "diverging"
+
+    def test_rounding_band(self):
+        # 0.1 + 0.2 - 0.3 is 5.6e-17 in floating point, inside 3 eps (0.1 + 0.2 + 0.3)
+        rep = summability_report(Coeff1D.from_dict({1: 0.1, 2: 0.2, 3: -0.3}), "full", self.WINDOWS)
+        assert rep.moment_sum != 0
+        assert rep.verdict_hint == "converging"
+
+    def test_one_sided_kinds_leave_a0_out(self):
+        a = Coeff1D.from_dict({0: 5, 1: 1, 3: -1})
+        assert summability_report(a, "even_halved", self.WINDOWS).verdict_hint == "converging"
+        assert summability_report(a, "even", self.WINDOWS).verdict_hint == "converging"
+        assert summability_report(a, "full", self.WINDOWS).verdict_hint == "diverging"
+        # S_even = -1 once a_0 is out, though sum a_k = 0
+        b = Coeff1D.from_dict({0: 1, 1: 1, 2: -1, 3: -1})
+        assert summability_report(b, "even_halved", self.WINDOWS).verdict_hint == "diverging"
+
+    @pytest.mark.parametrize("kind", ["odd", "odd_halved"])
+    @pytest.mark.parametrize("a", [
+        E1,
+        Coeff1D(32, np.ones(16)),
+        Coeff1D.from_dict({1: 1, 2: -1 + 1e-6}),
+        Coeff1D(0, np.random.default_rng(5).standard_normal(64)),
+        Coeff1D(0, [3.0]),
+    ], ids=["impulse", "ones", "small-moment", "random", "a0-only"])
+    def test_odd_kinds_always_converge(self, kind, a):
+        assert summability_report(a, kind, self.WINDOWS).verdict_hint == "converging"
+
+    def test_growth_per_doubling_at_large_windows(self):
+        a = Coeff1D(1, np.random.default_rng(11).standard_normal(8))
+        windows = tuple(2**e for e in range(12, 17))
+        full = summability_report(a, "full", windows)
+        np.testing.assert_allclose(full.increments[1:], 2 * abs(full.moment_sum) * np.log(2), rtol=1e-3)
+        k = a.indices()
+        s_odd, s_even = a.values[k % 2 == 1].sum(), a.values[k % 2 == 0].sum()
+        half = summability_report(a, "even_halved", windows)
+        assert half.verdict_hint == full.verdict_hint == "diverging"
+        np.testing.assert_allclose(half.increments[1:], (abs(s_odd) + abs(s_even)) * np.log(2), rtol=1e-3)
+
+    def test_sums_near_the_float_limit(self):
+        # judged in units of the peak entry: an overflowed sum is not zero,
+        # and an exact cancellation still is
+        big = 1.7e308
+        with np.errstate(all="ignore"):  # the overflow itself is the fixture
+            over = summability_report(Coeff1D.from_dict({1: big, 2: big}), "even", (4, 8))
+            cancel = summability_report(Coeff1D.from_dict({1: big, 2: -big}), "full", (4, 8))
+        assert over.verdict_hint == "diverging"
+        assert cancel.verdict_hint == "converging"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_raises(self, bad):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="coefficients must be finite"):
+            warnings.simplefilter("error")
+            summability_report(Coeff1D(1, [1.0, bad, 2.0]), "even_halved", self.WINDOWS)
