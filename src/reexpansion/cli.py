@@ -233,7 +233,7 @@ def _parse_half_integer(text: str, flag: str) -> Fraction:
 def _run_hilbert(opt) -> str:
     a = _require_1d(_load(opt["input"]), f"kind {opt['kind']!r}")
     rng = _parse_range(opt["range"])
-    out = _hilbert.transform(a, _hilbert.TransformRequest(opt["kind"], rng, opt["algorithm"]))
+    out = getattr(_hilbert, f"dht_{opt['kind']}")(a, rng, opt["algorithm"])
     _save(out, opt["output"])
     return f"kind={opt['kind']} support={len(a.trim())} window={rng[0]}:{rng[1]}"
 
@@ -271,6 +271,8 @@ def _run_sufficiency(opt) -> str:
     q = _parse_weight(opt["weight"], 1)
     if not q.is_zero:
         a = weight_apply(a, q)
+        if not np.isfinite(a.values).all():
+            raise UsageError(f"--weight {opt['weight']}: k^q a_k overflows past the largest double")
     report = _reexpand.summability_report(a, opt["kind"], windows, opt["algorithm"])
     emit_report(report, opt["output"])
     print(

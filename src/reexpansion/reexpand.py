@@ -32,7 +32,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -46,9 +46,7 @@ from .sequences import (
     CoeffND,
     ParityVector,
     WeightExponent,
-    _axis_weights,
     _node_chunks,
-    _on_axis,
     _phase_rows,
     _refined,
     _require_finite,
@@ -139,21 +137,14 @@ def _subtract_face_means(nd: CoeffND, eta: ParityVector) -> CoeffND:
     modified series vanishes identically on the face t_j = 0; this is
     the d-dimensional version of re-expanding f(t) - f(0).
     """
-    if nd.values.size == 0:  # the zero series has no face values
-        return nd
-    offsets = list(nd.offsets)
-    vals = nd.values
+    offsets, vals = list(nd.offsets), nd.values
     for ax in range(nd.ndim):
-        if eta[ax] == 1 and offsets[ax] > 0:
-            vals = window_axis(vals, offsets[ax], ax, 0, nd.support[ax][1])
-            offsets[ax] = 0
-    vals = vals.copy()
-    for ax in range(nd.ndim):
-        if eta[ax] != 1:
+        if eta[ax] != 1 or vals.size == 0:  # the zero series has no face values
             continue
-        face = [slice(None)] * nd.ndim
-        face[ax] = 0
-        vals[tuple(face)] -= vals.sum(axis=ax)
+        vals = window_axis(vals, offsets[ax], ax, 0, nd.support[ax][1])
+        offsets[ax] = 0
+        face = np.moveaxis(vals, ax, 0)
+        face[0] -= face.sum(axis=0)
     return CoeffND(tuple(offsets), vals)
 
 
@@ -235,29 +226,16 @@ def reexpand_weighted(a, spec: ReexpandSpec, algorithm: str = "fast") -> Weighte
         )
 
     weighted = weight_apply(a, q)
-    eta_eff = ParityVector(
-        tuple(b ^ (qj % 2) for b, qj in zip(eta.bits, q.exponents))
-    )
+    eta_eff = ParityVector(tuple(b ^ (qj % 2) for b, qj in zip(eta.bits, q.exponents)))
     sign = -1.0 if sum(qj % 2 for qj in q.exponents) % 2 else 1.0
-    inner = ReexpandSpec(
-        eta=eta_eff,
-        q=WeightExponent.zero(a.ndim),
-        output_box=spec.output_box,
-        subtract_mean=False,
-        boundary_tol=spec.boundary_tol,
-    )
+    inner = replace(spec, eta=eta_eff, q=WeightExponent.zero(a.ndim))
     raw = reexpand_nd(weighted, inner, algorithm).scaled(sign)
 
-    dew = raw.values.copy()
-    zero = np.zeros(raw.dims, dtype=bool)  # m_j = 0 on an axis with q_j > 0
-    for ax, mq in enumerate(_axis_weights(raw, q)):
-        if q[ax] == 0:
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dew = dew / _on_axis(mq, ax, raw.ndim)
-        zero |= _on_axis(mq == 0, ax, raw.ndim)
-    dew[zero] = np.nan
-    flagged = [tuple(int(i) for i in idx) for idx in np.argwhere(zero) + raw.offsets]
+    mq = weight_apply(CoeffND(raw.offsets, np.ones(raw.dims)), q).values.real
+    zero = mq == 0  # m_j = 0 on an axis with q_j > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dew = np.where(zero, np.nan, raw.values / mq)
+    flagged = [tuple(idx) for idx in (np.argwhere(zero) + raw.offsets).tolist()]
     return WeightedReexpansion(
         raw=raw,
         deweighted=CoeffND(raw.offsets, dew),

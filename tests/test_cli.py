@@ -221,7 +221,7 @@ def test_sufficiency_weight_overflow_is_a_usage_error(tmp_path, capsys):
                  "--windows", "8,16", "--weight", "400", "--output", str(out)])
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.err == "usage error: coefficients must be finite, found NaN or infinity\n"
+    assert captured.err == "usage error: --weight 400: k^q a_k overflows past the largest double\n"
     assert captured.out == ""
     assert not out.exists()
 

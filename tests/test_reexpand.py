@@ -164,8 +164,11 @@ class TestSubtractMean:
             (Coeff1D(0, [2.0, -1.0, 0.5, 3.0]), COS, ((1, 9),)),
             (CoeffND((0, 0), np.arange(1.0, 13.0).reshape(3, 4)), ParityVector((1, 1)),
              ((1, 7), (1, 7))),
+            # cosine offsets past 0 are padded down to the face; complex values
+            (CoeffND((2, 1, 3), np.random.default_rng(5).standard_normal((2, 3, 2, 2)) @ [1, 1j]),
+             ParityVector((1, 1, 1)), ((1, 4), (1, 3), (1, 5))),
         ],
-        ids=["1d-cosine", "2d-cosine"],
+        ids=["1d-cosine", "2d-cosine", "3d-cosine-complex"],
     )
     def test_index_zero_is_kept(self, a, eta, box, alg):
         # after the face means are subtracted the index-0 slice is nonzero
@@ -202,12 +205,13 @@ class TestSubtractMean:
         from reexpansion.sequences import series_eval
 
         rng = np.random.default_rng(22)
-        a = CoeffND((1, 1), rng.standard_normal((4, 3)))
         eta = ParityVector((1, 1))
-        modified = _subtract_face_means(a, eta)
-        for t in ([0.0, 0.83], [0.83, 0.0], [0.0, 0.0]):
-            val = series_eval(modified, eta, WeightExponent.zero(2), t)
-            assert abs(val) < 1e-13
+        # offsets 0: the index-0 slices hold input values before the subtraction
+        for offsets in ((1, 1), (0, 0)):
+            modified = _subtract_face_means(CoeffND(offsets, rng.standard_normal((4, 3))), eta)
+            for t in ([0.0, 0.83], [0.83, 0.0], [0.0, 0.0]):
+                val = series_eval(modified, eta, WeightExponent.zero(2), t)
+                assert abs(val) < 1e-13
 
 
 class TestQuadratureOracle:
