@@ -41,12 +41,12 @@ from . import hilbert
 from .hilbert import KINDS, dht_even_halved, dht_odd_halved
 from .sequences import (
     GL_NODES,
-    PANELS_PER_UNIT,
     BoundaryReport,
     CoeffND,
     ParityVector,
     WeightExponent,
     _node_chunks,
+    _panels,
     _phase_rows,
     _refined,
     _require_finite,
@@ -316,19 +316,19 @@ def quadrature_oracle_box(
 
     Computes  (2/pi)^d  integral of [the evaluated series of D^q f_eta]
     against the shifted target basis, using composite Gauss-Legendre
-    panels (16 nodes each, 4*(max frequency + |m| + 1) panels per
-    axis).  The whole box is confirmed by one refinement step with
-    doubled panels; disagreement beyond ``tol`` raises rather than
-    returning a silent result, and a coefficient that is not finite
-    raises ValueError first.  The bases are built chunk by chunk of
-    nodes in one table buffer, so memory stays near one chunk's table;
-    the work grows with (support + window) x nodes.  Per axis, the series
-    is evaluated at the nodes and then integrated (always in 1-D), or
-    the whole support x window matrix of integrals is formed, whichever
-    is the cheaper product for the shapes.  A box whose fine-pass basis
-    values on one axis, (support + window) x 16 x 2 panels x 8 bytes,
-    would pass 1 GB is refused with a ``ValueError`` before any basis
-    is evaluated.
+    panels (16 nodes each; max |k| + max |m| + 1 panels per axis, one
+    more than the integrand's top frequency).  The whole box is
+    confirmed by one refinement step with doubled panels; disagreement
+    beyond ``tol`` raises rather than returning a silent result, and a
+    coefficient that is not finite raises ValueError first.  The bases
+    are built chunk by chunk of nodes in one table buffer, so memory
+    stays near one chunk's table; the work grows with (support +
+    window) x nodes.  Per axis, the series is evaluated at the nodes
+    and then integrated (always in 1-D), or the whole support x window
+    matrix of integrals is formed, whichever is the cheaper product for
+    the shapes.  A box whose fine-pass basis values on one axis,
+    (support + window) x 16 x 2 panels x 8 bytes, would pass 1 GB is
+    refused with a ``ValueError`` before any basis is evaluated.
     """
     a = _require_finite(a.trim())
     d = a.ndim
@@ -344,7 +344,7 @@ def quadrature_oracle_box(
     for ax in range(d):
         kmax = int(np.max(np.abs(a.axis_indices(ax))))
         mmax = max(abs(box[ax][0]), abs(box[ax][1]))
-        panel_counts.append(PANELS_PER_UNIT * (kmax + mmax + 1))
+        panel_counts.append(_panels(kmax + mmax))
     need = max(
         (size + hi - lo + 1) * GL_NODES * 2 * panels * 8
         for size, (lo, hi), panels in zip(a.values.shape, box, panel_counts)

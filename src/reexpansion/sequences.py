@@ -338,7 +338,14 @@ def log_weighted_sum(a: CoeffND, q: WeightExponent) -> float:
 
 
 GL_NODES = 16  # Gauss-Legendre nodes per quadrature panel
-PANELS_PER_UNIT = 4  # panels per axis = 4 * (max |source k| + max |target m| + 1)
+
+
+def _panels(top: int) -> int:
+    """Panels for an integrand of top frequency ``top`` over [0, pi] or
+    [-pi, pi]: top + 1, so each panel spans less than 2 pi of phase.  On
+    [a, b] at phase span P per panel the GL_NODES-point remainder is at
+    most (b - a) P^32 (16!)^4 / (33 (32!)^3), about (b - a) 1e-29 at 2 pi."""
+    return top + 1
 
 
 @functools.cache

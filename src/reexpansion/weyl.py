@@ -33,7 +33,7 @@ import numpy as np
 
 from .hilbert import dht_full
 from .sequences import (
-    PANELS_PER_UNIT, Coeff1D, CoeffND, _node_chunks, _phase_rows, _refined, _require_finite,
+    Coeff1D, CoeffND, _node_chunks, _panels, _phase_rows, _refined, _require_finite,
     gauss_legendre_grid, window_axis,
 )
 
@@ -288,7 +288,8 @@ def character_coeff(a: CoeffND, l) -> complex:
 def character_coeff_quadrature(a: CoeffND, l, tol: float = 1e-10) -> complex:
     """Numerical cross-check of :func:`character_coeff`.
 
-    Composite Gauss-Legendre on [-pi, pi] with one confirming
+    Composite Gauss-Legendre on [-pi, pi], max |k| + 2l + 3 panels (one
+    more than the integrand's top frequency), with one confirming
     refinement; raises if it moves the value beyond tol (ValueError
     first for a coefficient that is not finite).  The series is
     evaluated at every node from phase tables built by rotation over
@@ -298,7 +299,7 @@ def character_coeff_quadrature(a: CoeffND, l, tol: float = 1e-10) -> complex:
     two_l = _two_l(l)
     d = two_l + 1
     kmax = int(np.max(np.abs(a.indices()))) if len(a) else 0
-    panels = PANELS_PER_UNIT * (kmax + (two_l + 2) + 1)  # 2l + 2: top frequency of chi_l |Delta|^2
+    panels = _panels(kmax + two_l + 2)  # 2l + 2: top frequency of chi_l |Delta|^2
 
     def integrate(refine):
         t, wt = gauss_legendre_grid(-np.pi, np.pi, refine * panels)

@@ -238,8 +238,10 @@ class TestQuadratureOracle:
             np.testing.assert_allclose(got.values, sin_to_cos(a, (0, 20)).values, atol=1e-10)
 
     def test_unreachable_tolerance_fails_loudly(self):
+        # an impulse's two passes can agree exactly; a random support's cannot
+        a = Coeff1D(1, np.random.default_rng(3).standard_normal(13))
         with pytest.raises(RuntimeError, match="quadrature failed to confirm tolerance 0 "):
-            quadrature_oracle(E1, COS, Q0, 2, tol=0.0)
+            quadrature_oracle_box(a, COS, Q0, [(1, 20)], tol=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_box_of_a_non_finite_coefficient_raises(self, bad):
@@ -309,6 +311,41 @@ class TestQuadratureOracle:
         got = quadrature_oracle_box(grid, ParityVector((1, 0)), WeightExponent.zero(2), [(1, 33), (0, 32)])
         assert got.dims == (33, 33)
 
+    _GRID_RNG = np.random.default_rng(47)
+    _GRID_CASES = {
+        "1d-cos": (Coeff1D(1, _GRID_RNG.standard_normal(64)), COS, Q0, [(1, 128)]),
+        "1d-sin": (Coeff1D(1, _GRID_RNG.standard_normal(64)), SIN, Q0, [(0, 128)]),
+        "complex-200": (
+            Coeff1D(200, _GRID_RNG.standard_normal(16) + 1j * _GRID_RNG.standard_normal(16)),
+            SIN, WeightExponent((1,)), [(190, 240)],
+        ),
+        "q2": (Coeff1D(1, _GRID_RNG.standard_normal(32)), COS, WeightExponent((2,)), [(0, 64)]),
+        "impulse-500": (Coeff1D.impulse(500), COS, Q0, [(480, 530)]),
+        "2d": (CoeffND((1, 1), _GRID_RNG.standard_normal((8, 8))), ParityVector((1, 0)),
+               WeightExponent.zero(2), [(1, 32), (0, 32)]),
+        "3d": (CoeffND((1, 1, 1), _GRID_RNG.standard_normal((6, 6, 6))), ParityVector((1, 0, 1)),
+               WeightExponent((1, 0, 2)), [(0, 12), (0, 12), (1, 12)]),
+    }
+
+    @pytest.mark.parametrize("case", _GRID_CASES)
+    def test_grid_is_as_accurate_as_four_times_its_panels(self, monkeypatch, case):
+        # one panel per unit of top frequency: both passes against a pass of 4x the fine panels
+        a, eta, q, box = self._GRID_CASES[case]
+        inner, passes = reexpand._oracle_values, []
+
+        def recorded(nd, eta, q, box, panel_counts):
+            passes.append(((nd, eta, q, box), panel_counts, inner(nd, eta, q, box, panel_counts)))
+            return passes[-1][2]
+
+        monkeypatch.setattr(reexpand, "_oracle_values", recorded)
+        got = quadrature_oracle_box(a, eta, q, box).values
+        (args, _, coarse), (_, fine_panels, fine) = passes
+        dense = inner(*args, [4 * p for p in fine_panels])
+        peak = np.max(np.abs(dense))
+        np.testing.assert_array_equal(got, fine)
+        assert np.max(np.abs(fine - dense)) <= 1e-13 * peak
+        assert np.max(np.abs(coarse - fine)) <= 1e-12 * peak
+
     def test_far_offset_box_matches_map(self):
         rng = np.random.default_rng(44)
         a = Coeff1D(500, rng.standard_normal(8))
@@ -327,12 +364,12 @@ class TestQuadratureOracle:
         assert peak < 32 * 10**6
 
     def test_oversized_box_is_refused_before_allocating(self):
-        # 4096 -> 4096 would need (4096 + 4096) x 16 x 2 x 32,772 x 8 bytes
+        # 4096 -> 4096 would need (4096 + 4096) x 16 x 2 x 8,193 x 8 bytes
         a = Coeff1D(1, np.ones(4096))
         t0 = time.perf_counter()
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"needs 68\.7 GB"):
+            with pytest.raises(ValueError, match=r"needs 17\.2 GB"):
                 quadrature_oracle_box(a, COS, Q0, [(1, 4096)])
             _, peak = tracemalloc.get_traced_memory()
         finally:

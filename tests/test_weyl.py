@@ -223,8 +223,12 @@ class TestCharacterCoeff:
             (-5, 11, True, range(0, 9)),
             (-1, 20, True, range(0, 13)),  # past +(2l+2) only
             (-7, 15, True, range(1, 13, 2)),
+            # one panel per unit of top frequency, at l up to 50 and |k| up to 300
+            (-300, 601, False, (0, 1, 40, 99, 100)),
+            (300, 12, True, (0, 7, 100)),
+            (-20, 41, False, (100,)),
         ],
-        ids=["real", "2l-to-12", "complex", "one-sided-reach", "half-integer"],
+        ids=["real", "2l-to-12", "complex", "one-sided-reach", "half-integer", "wide", "complex-300", "l-50"],
     )
     def test_quadrature_cross_check(self, offset, size, complex_values, two_ls):
         rng = np.random.default_rng(27)
@@ -236,11 +240,11 @@ class TestCharacterCoeff:
             l = Fraction(two_l, 2)
             exact = character_coeff(a, l)
             quad = character_coeff_quadrature(a, l)
-            np.testing.assert_allclose(quad, exact, atol=1e-12)
+            np.testing.assert_allclose(quad, exact, rtol=0, atol=1e-12)
 
     def test_quadrature_with_the_su2_benchmark_support(self):
-        # 401 rows cut the grids into chunks of 32 to 77 nodes; for
-        # 2l = 7 and 40 the last chunk of each grid is shorter
+        # 401 rows cut the grids into chunks of 8 to 19 nodes; for
+        # 2l = 40 the last chunk of the fine grid is shorter
         a = Coeff1D(-200, np.random.default_rng(28).standard_normal(401))
         for two_l in (0, 7, 40):
             l = Fraction(two_l, 2)
