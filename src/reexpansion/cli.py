@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: hilbert, reexpand, sufficiency, su2, bench.  Inputs and
+Subcommands: hilbert, reexpand, sufficiency, su2.  Inputs and
 sequence outputs use the JSON sequence format; reports are CSV with
 fixed headers and 17-significant-digit floats.  Output files are
 written atomically (write-then-rename) and contain no timestamps, so
@@ -30,7 +30,6 @@ from . import hilbert as _hilbert
 from . import reexpand as _reexpand
 from . import weyl as _weyl
 from .sequences import (
-    Coeff1D,
     CoeffND,
     ParityVector,
     WeightExponent,
@@ -113,12 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--convention", default="nonnegative", choices=_weyl.CONVENTIONS)
     u.add_argument("--output", default=None)
 
-    b = sub.add_parser("bench", help="naive vs fast timings and cross-check")
-    b.add_argument("--kind", required=True, choices=_hilbert.KINDS)
-    b.add_argument("--sizes", required=True, help="input/output sizes, e.g. 1024,4096")
-    b.add_argument("--seed", type=int, default=7)
-    b.add_argument("--output", required=True)
-
     return p
 
 
@@ -189,11 +182,6 @@ def emit_report(data, path: str) -> None:
             lines = ["two_l,hilbert_side,plain_side,ratio"]
             for tl, h, pl, rat in zip(data.two_l, data.hilbert_side, data.plain_side, data.ratio):
                 lines.append(f"{tl},{_fmt(h)},{_fmt(pl)},{_fmt(rat) if pl > 0 else 'nan'}")
-        elif isinstance(data, list) and data and isinstance(data[0], dict):  # bench rows
-            cols = list(data[0])
-            lines = [",".join(cols)]
-            for row in data:
-                lines.append(",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols))
         elif isinstance(data, list):  # partial sums
             lines = ["two_l,partial_sum"]
             for two_l, v in enumerate(data):
@@ -218,6 +206,14 @@ def _parse_weight(text, d: int) -> WeightExponent:
     if any(v < 0 for v in vals):
         raise UsageError("--weight entries must be >= 0")
     return WeightExponent(tuple(vals))
+
+
+def _weighted(a: CoeffND, q: WeightExponent, text: str) -> CoeffND:
+    """k^q a_k for a nonzero ``q``; a UsageError if a product overflows."""
+    a = weight_apply(a, q)
+    if not np.isfinite(a.values).all():
+        raise UsageError(f"--weight {text}: k^q a_k overflows past the largest double")
+    return a
 
 
 def _parse_half_integer(text: str, flag: str) -> Fraction:
@@ -254,6 +250,8 @@ def _run_reexpand(opt) -> str:
         subtract_mean=opt["subtract_mean"],
         boundary_tol=opt["boundary_tol"],
     )
+    if not q.is_zero:
+        _weighted(nd, q, opt["weight"])  # refuse an overflowing weight before any transform
     res = None if q.is_zero else _reexpand.reexpand_weighted(nd, spec, opt["algorithm"])
     out = _reexpand.reexpand_nd(nd, spec, opt["algorithm"]) if res is None else res.raw
     _save(out, opt["output"])
@@ -270,9 +268,7 @@ def _run_sufficiency(opt) -> str:
     windows = _parse_int_list(opt["windows"], "--windows")
     q = _parse_weight(opt["weight"], 1)
     if not q.is_zero:
-        a = weight_apply(a, q)
-        if not np.isfinite(a.values).all():
-            raise UsageError(f"--weight {opt['weight']}: k^q a_k overflows past the largest double")
+        a = _weighted(a, q, opt["weight"])
     report = _reexpand.summability_report(a, opt["kind"], windows, opt["algorithm"])
     emit_report(report, opt["output"])
     print(
@@ -314,37 +310,11 @@ def _run_su2(opt) -> str:
     return f"op={op} lmax={opt['lmax']} mode={opt['mode']} convention={opt['convention']}"
 
 
-def _run_bench(opt) -> str:
-    sizes = _parse_int_list(opt["sizes"], "--sizes")
-    if any(n < 4 for n in sizes):
-        raise UsageError("--sizes entries must be >= 4")
-    kind = opt["kind"]
-    rng = np.random.default_rng(opt["seed"])
-    rows = []
-    for n in sizes:
-        a = Coeff1D(1, rng.standard_normal(n))
-        lo = -n if kind == "full" else _hilbert._KIND_FLOOR[kind]
-        row, outs = {"kind": kind, "size": n}, {}
-        for algorithm in ("naive", "fast"):
-            times = []
-            for _ in range(6):  # 1 warmup + 5 timed
-                t0 = time.perf_counter()
-                outs[algorithm] = _hilbert._run_1d(a, kind, lo, n, algorithm)
-                times.append(time.perf_counter() - t0)
-            for stat, f in (("median", np.median), ("min", np.min), ("max", np.max)):
-                row[f"{algorithm}_{stat}_s"] = float(f(times[1:]))
-        row["max_abs_deviation"] = float(np.max(np.abs(outs["naive"].values - outs["fast"].values)))
-        rows.append(row)
-    emit_report(rows, opt["output"])
-    return f"kind={kind} sizes={opt['sizes']}"
-
-
 _RUNNERS = {
     "hilbert": _run_hilbert,
     "reexpand": _run_reexpand,
     "sufficiency": _run_sufficiency,
     "su2": _run_su2,
-    "bench": _run_bench,
 }
 
 

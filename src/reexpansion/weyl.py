@@ -480,17 +480,15 @@ def telescoping_sum(a: CoeffND, l) -> TelescopingResult:
     differ by a_1 + a_2 in general; see the brute values.
     """
     top = _two_l(l) + 1  # M = 2l + 1
-    if a[0] != 0 or a[-1] != 0:
+    # w[k + 1] = a_k for k = -1 .. M + 2, as Python complex numbers, so the
+    # sums below round exactly as entrywise lookups would
+    w = window_axis(a.values, a.offset, 0, -1, top + 2).tolist()
+    if w[0] != 0 or w[1] != 0:
         warnings.warn("forcing a_0 = a_{-1} = 0 for the telescoping identity", stacklevel=2)
-        entries = {int(k): v for k, v in zip(a.indices(), a.values)}
-        entries[0] = 0.0
-        entries[-1] = 0.0
-        a = Coeff1D.from_dict(entries)
-    brute = sum(a[m - 2] - 2 * a[m] + a[m + 2] for m in range(1, top + 1))
-    paper = -a[top - 1] - a[top] + a[top + 1] + a[top + 2]
-    derived = (
-        a[-1] + a[0] - a[1] - a[2] - a[top - 1] - a[top] + a[top + 1] + a[top + 2]
-    )
+        w[0] = w[1] = 0j
+    brute = sum(w[m - 1] - 2 * w[m + 1] + w[m + 3] for m in range(1, top + 1))
+    paper = -w[top] - w[top + 1] + w[top + 2] + w[top + 3]
+    derived = w[0] + w[1] - w[2] - w[3] - w[top] - w[top + 1] + w[top + 2] + w[top + 3]
     return TelescopingResult(_tidy(brute), _tidy(paper), _tidy(derived))
 
 

@@ -480,6 +480,21 @@ class TestTelescoping:
                 res = telescoping_sum(a, Fraction(two_l, 2))
                 assert res.brute == res.derived_form
 
+    def test_matches_entrywise_lookups_exactly(self):
+        # the literal sums over a[k], on complex inputs at shifted offsets
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            n, off = int(rng.integers(0, 20)), int(rng.integers(1, 5))  # a_0 = a_{-1} = 0
+            a = Coeff1D(off, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            for two_l in range(0, 21):
+                top = two_l + 1
+                brute = sum(a[m - 2] - 2 * a[m] + a[m + 2] for m in range(1, top + 1))
+                paper = -a[top - 1] - a[top] + a[top + 1] + a[top + 2]
+                derived = a[-1] + a[0] - a[1] - a[2] - a[top - 1] - a[top] + a[top + 1] + a[top + 2]
+                res = telescoping_sum(a, Fraction(two_l, 2))
+                assert (res.brute, res.paper_form, res.derived_form) == tuple(
+                    z.real if z.imag == 0 else z for z in (brute, paper, derived))
+
     def test_forces_zero_head_with_warning(self):
         a = Coeff1D.from_dict({-1: 2.0, 0: 3.0, 1: 1.0})
         with pytest.warns(UserWarning, match="forcing"):
