@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import re
 import sys
 import time
@@ -153,6 +154,16 @@ def _writing(path: str):
         raise RuntimeError(f"{path}: {exc}") from exc
 
 
+def _say(line: str) -> None:
+    """Print ``line`` to standard output now; a closed one is a RuntimeError."""
+    with _writing("standard output"):
+        try:
+            print(line, flush=True)
+        except OSError:  # the line is still buffered and would fail again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
+
+
 def _save(a, path: str) -> None:
     with _writing(path):
         save_sequence(a, path)
@@ -243,23 +254,14 @@ def _run_reexpand(opt) -> str:
     box = _parse_box(opt["box"])
     if len(box) != nd.ndim:
         raise UsageError(f"--box has {len(box)} axes, input has {nd.ndim}")
-    spec = _reexpand.ReexpandSpec(
-        eta=eta,
-        q=q,
-        output_box=tuple(box),
-        subtract_mean=opt["subtract_mean"],
-        boundary_tol=opt["boundary_tol"],
-    )
+    spec = _reexpand.ReexpandSpec(eta, q, tuple(box), opt["subtract_mean"], opt["boundary_tol"])
     if not q.is_zero:
         _weighted(nd, q, opt["weight"])  # refuse an overflowing weight before any transform
     res = None if q.is_zero else _reexpand.reexpand_weighted(nd, spec, opt["algorithm"])
     out = _reexpand.reexpand_nd(nd, spec, opt["algorithm"]) if res is None else res.raw
     _save(out, opt["output"])
-    extra = ""
-    if res is not None:
-        for w in res.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        extra = f" sign={res.sign:+.0f} eta_eff={''.join(map(str, res.eta_effective.bits))}"
+    extra = "" if res is None else (
+        f" sign={res.sign:+.0f} eta_eff={''.join(map(str, res.eta_effective.bits))}")
     return f"parity={opt['parity']} q={'0' if q.is_zero else opt['weight']} box={opt['box']}{extra}"
 
 
@@ -271,7 +273,7 @@ def _run_sufficiency(opt) -> str:
         a = _weighted(a, q, opt["weight"])
     report = _reexpand.summability_report(a, opt["kind"], windows, opt["algorithm"])
     emit_report(report, opt["output"])
-    print(
+    _say(
         f"verdict={report.verdict_hint} moments=({report.moment_sum:.6g}, "
         f"{report.moment_sum_alternating:.6g}) log_weighted={report.log_weighted:.6g} "
         f"tail_hint={report.tail_hint:.3g}"
@@ -288,7 +290,7 @@ def _run_su2(opt) -> str:
     if op == "sufficiency":
         value = _weyl.su2_sufficiency(a)
         with _writing("standard output"):
-            print(_fmt(value))
+            _say(_fmt(value))
         return "op=sufficiency"
     if op == "character":
         if opt["level"] is None:
@@ -296,7 +298,7 @@ def _run_su2(opt) -> str:
         l = _parse_half_integer(opt["level"], "--l")
         value = _weyl.character_coeff(a, l)
         with _writing("standard output"):
-            print(f"{_fmt(value.real)} {_fmt(value.imag)}")
+            _say(f"{_fmt(value.real)} {_fmt(value.imag)}")
         return f"op=character l={opt['level']}"
     lmax = _parse_half_integer(opt["lmax"], "--lmax")
     if opt["output"] is None:
@@ -331,6 +333,7 @@ def run(invocation: CliInvocation) -> int:
             finally:
                 for w in caught:
                     print(f"warning: {w.message}", file=sys.stderr)
+        _say(f"{invocation.subcommand} {summary} wall={time.perf_counter() - t0:.3f}s")
     except ValueError as exc:  # UsageError included
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -340,8 +343,6 @@ def run(invocation: CliInvocation) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    wall = time.perf_counter() - t0
-    print(f"{invocation.subcommand} {summary} wall={wall:.3f}s")
     return 0
 
 

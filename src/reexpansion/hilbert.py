@@ -122,14 +122,11 @@ def _naive(kind: str, x: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarra
     if x.shape[-1] == 0:
         return out
     k = offset + np.arange(x.shape[-1])
-    lag = np.arange(lo - k[-1], hi - k[0] + 1)
-    with np.errstate(divide="ignore"):
-        recip = 1.0 / lag
-        hank = 1.0 / np.arange(lo + k[0], hi + k[-1] + 1)
-    recip[lag == 0] = 0.0
+    recip = np.arange(lo - k[-1], hi - k[0] + 1, dtype=float)
     if kind.endswith("halved"):
-        recip[lag % 2 == 0] = 0.0
-    hank[np.isinf(hank)] = 0.0  # n = k = 0: an odd kind's entry there is 0
+        recip[recip % 2 == 0] = 0.0
+    recip = _reciprocal(1.0, recip)
+    hank = _reciprocal(1.0, np.arange(lo + k[0], hi + k[-1] + 1, dtype=float))  # n = k = 0 -> 0
     toeplitz = sliding_window_view(recip, len(k))[:, ::-1]
     hankel = sliding_window_view(hank, len(k))
     col = {"odd": 2.0 * k, "odd_halved": -2.0 * k}.get(kind, 1.0)  # 2n goes on out
@@ -158,6 +155,11 @@ def _naive(kind: str, x: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarra
     return out
 
 
+def _reciprocal(c: float, lags: np.ndarray) -> np.ndarray:
+    """c / lags in ``lags``'s own buffer, 0 at lag 0: every kernel leaves out k = n."""
+    return np.divide(c, lags, out=lags, where=lags != 0)
+
+
 def _fast_len(n: int) -> int:
     """The smallest 2^a 3^b 5^c >= n, a length pocketfft transforms fast."""
     best = 1 << (n - 1).bit_length()
@@ -179,21 +181,19 @@ def _recip(
     real FFT X times each kernel's, conj(X) for R b, and one inverse FFT."""
     na = batch.shape[-1]
     nout = (hi - lo) // step + 1
-    with np.errstate(divide="ignore"):
-        kern = direct / ((lo - offset) + step * np.arange(1 - na, nout, dtype=float))
-    kern[np.isinf(kern)] = 0.0
+    kern = _reciprocal(direct, (lo - offset) + step * np.arange(1 - na, nout, dtype=float))
     size = _fast_len(na + nout - 1)
     spec = rfft(batch, size, axis=-1)
     out = spec * rfft(kern, size)
     if reflected:
-        # R b's kernel 1/(n + k) shifted by na - 1, the phase that takes X to
-        # the reversed rows' spectrum: position p holds lag (p - na + 1) mod size
+        # R b's kernel 1/(n + k) shifted by na - 1, the phase that takes X to the
+        # reversed rows' spectrum: p holds lag (p - na + 1) mod size, 0 past na + nout - 2
         t = np.arange(1 - na, size + 1 - na, dtype=float)
         t[: na - 1] += size
-        t[t >= na + nout - 1] = np.inf  # zero padding
-        with np.errstate(divide="ignore"):
-            np.divide(reflected, (lo + offset) + step * t, out=t)
-        t[np.isinf(t)] = 0.0
+        t *= step
+        t += lo + offset
+        t[t >= (lo + offset) + step * (na + nout - 1)] = 0.0
+        t = _reciprocal(reflected, t)
         np.conjugate(spec, out=spec)
         spec *= rfft(t)
         out += spec

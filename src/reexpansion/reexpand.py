@@ -32,6 +32,7 @@ Conventions
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -175,16 +176,14 @@ class WeightedReexpansion:
     series in the shifted target basis); ``deweighted`` holds b_m, with
     NaN at indices where m_j = 0 meets q_j > 0 (listed in ``flagged``).
     ``eta_effective`` and ``sign`` record the parity/sign bookkeeping
-    that was applied; ``boundary`` is the face-vanishing report and
-    ``warnings`` is nonempty when the precondition failed (the formula
-    result is still returned).
+    that was applied; ``boundary`` is the face-vanishing report (the
+    formula result is returned whether or not it passed).
     """
 
     raw: CoeffND
     deweighted: CoeffND
     flagged: tuple[tuple[int, ...], ...]
     boundary: BoundaryReport
-    warnings: tuple[str, ...]
     eta_effective: ParityVector
     sign: float
 
@@ -206,8 +205,9 @@ def reexpand_weighted(a, spec: ReexpandSpec, algorithm: str = "fast") -> Weighte
 
     The identity between raw and the re-expansion of f itself is only
     guaranteed when D^s f vanishes on the faces for all s < q; that
-    precondition is checked at ``spec.boundary_tol`` and reported, not
-    enforced.
+    precondition is checked at ``spec.boundary_tol`` and reported in
+    ``boundary``, not enforced; a failed check also issues a
+    ``UserWarning`` once the result is computed.
     """
     eta, q = spec.eta, spec.q
     if a.ndim != len(eta):
@@ -216,15 +216,6 @@ def reexpand_weighted(a, spec: ReexpandSpec, algorithm: str = "fast") -> Weighte
         raise ValueError("subtract_mean is only defined for the unweighted map")
 
     report = boundary_vanish_check(a, eta, q, spec.boundary_tol)
-    warnings: list[str] = []
-    if not report.passed:
-        bad = [c for c in report.checks if not c.passed]
-        warnings.append(
-            f"boundary precondition failed for {len(bad)} face/order checks "
-            f"(|D^s f| <= {max(c.max_abs for c in bad):.3e} on those faces); "
-            "the coefficient identity with the re-expansion of f is not guaranteed"
-        )
-
     weighted = weight_apply(a, q)
     eta_eff = ParityVector(tuple(b ^ (qj % 2) for b, qj in zip(eta.bits, q.exponents)))
     sign = -1.0 if sum(qj % 2 for qj in q.exponents) % 2 else 1.0
@@ -233,15 +224,21 @@ def reexpand_weighted(a, spec: ReexpandSpec, algorithm: str = "fast") -> Weighte
 
     mq = weight_apply(CoeffND(raw.offsets, np.ones(raw.dims)), q).values.real
     zero = mq == 0  # m_j = 0 on an axis with q_j > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dew = np.where(zero, np.nan, raw.values / mq)
+    dew = np.divide(raw.values, mq, out=np.full(raw.dims, np.nan, complex), where=~zero)
     flagged = [tuple(idx) for idx in (np.argwhere(zero) + raw.offsets).tolist()]
+    if not report.passed:  # only for a result, so a refused request does not warn
+        bad = [c for c in report.checks if not c.passed]
+        warnings.warn(
+            f"boundary precondition failed for {len(bad)} face/order checks "
+            f"(|D^s f| <= {max(c.max_abs for c in bad):.3e} on those faces); "
+            "the coefficient identity with the re-expansion of f is not guaranteed",
+            stacklevel=2,
+        )
     return WeightedReexpansion(
         raw=raw,
         deweighted=CoeffND(raw.offsets, dew),
         flagged=tuple(flagged),
         boundary=report,
-        warnings=tuple(warnings),
         eta_effective=eta_eff,
         sign=sign,
     )
@@ -442,18 +439,21 @@ def summability_report(
     incs = [norms[0]] + [norms[j] - norms[j - 1] for j in range(1, len(norms))]
 
     ks, mag = nd.indices(), np.abs(nd.values)
-    total = complex(np.sum(nd.values))
-    alt = complex(np.sum(nd.values * (-1.0) ** (ks % 2)))
+    sign = (-1.0) ** (ks % 2)
+    total, alt = complex(np.sum(nd.values)), complex(np.sum(nd.values * sign))
     kmax = int(np.max(np.abs(ks), initial=0))
     tail_hint = l1_norm(a) / max(1, big + 1 - kmax)
     # on k >= 0 this is log_weighted_sum with q = 0, bit for bit
     logw = float(np.sum(mag * np.log(np.abs(ks) + 1.0)))
-    a0 = 0 if kind == "full" else nd[0]
-    sums = {"full": [total], "even": [total - a0], "even_halved": [total - a0, alt - a0]}
-    # in units of the peak entry, so that a sum that overflowed is not zero
+    # the verdict sums the entries in units of the peak entry's power of two:
+    # that scaling is exact, and no partial sum of finite entries overflows
     peak = max(float(np.max(mag, initial=0.0)), np.finfo(float).tiny)
+    unit = np.ldexp(1.0, -int(np.frexp(peak)[1]))
+    u = nd.scaled(unit)
+    s, s_alt, u0 = complex(np.sum(u.values)), complex(np.sum(u.values * sign)), u[0]
+    sums = {"full": [s], "even": [s - u0], "even_halved": [s - u0, s_alt - u0]}
     band = len(nd) * np.finfo(float).eps * float(np.sum(mag / peak))
-    converging = all(abs(s) / peak <= band for s in sums.get(kind, []))
+    converging = all(abs(v) / (peak * unit) <= band for v in sums.get(kind, []))
 
     return SummabilityReport(
         kind=kind,

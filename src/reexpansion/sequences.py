@@ -3,8 +3,7 @@
 There is one sequence type, :class:`CoeffND`: a dense complex block
 with one integer offset per axis, zero outside the block, whose
 ``support`` is one inclusive (lo, hi) window per axis.  A sequence over
-the integers is the case d = 1, and ``Coeff1D(offset, values)`` is its
-constructor; ``as_nd()`` is kept as the identity, and
+the integers is the case d = 1, built by ``Coeff1D(offset, values)``;
 :func:`load_sequence` always returns a ``CoeffND``.  On top of the
 data model this module provides the weighting map ``a_k -> k^q a_k``,
 the log-weighted sufficiency sums, direct evaluation of the associated
@@ -166,10 +165,6 @@ class CoeffND:
         vals = window_axis(self.values, self.offset, 0, lo, hi)
         vals += window_axis(other.values, other.offset, 0, lo, hi)
         return CoeffND((lo,), vals)
-
-    def as_nd(self) -> "CoeffND":
-        """The block itself; kept so that older callers still work."""
-        return self
 
 
 class Coeff1D(CoeffND):

@@ -1,7 +1,10 @@
 """End-to-end tests for the command-line front end."""
 
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +260,35 @@ def test_library_warnings_are_warning_lines(tmp_path, capsys, monkeypatch, argv,
     save_sequence(Coeff1D(1, [1.0, 2.0, 0.5]), "a.json")
     assert main(["su2", "--input", "a.json"] + argv) == 0
     assert capsys.readouterr().err == f"warning: {message}\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, output", [
+    (["hilbert", "--kind", "full", "--range", "0:4"], "o.json"),
+    (["sufficiency", "--kind", "even", "--windows", "4,8"], "o.csv"),
+    (["su2", "--op", "sufficiency"], None),
+], ids=["hilbert", "sufficiency", "su2-sufficiency"])
+def test_closed_stdout_is_one_error_line(tmp_path, argv, output, buffered):
+    # stdout is a pipe whose read end is already closed, so every write
+    # to it fails; a buffered stdout would also fail its flush at exit
+    path = tmp_path / "a.json"
+    save_sequence(Coeff1D.from_dict({1: 1.0, 3: 0.5}), str(path))  # odd: su2 warns of nothing
+    argv = argv + ["--input", str(path)] + (["--output", str(tmp_path / output)] if output else [])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "reexpansion.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write standard output: Broken pipe\n"
+    if output:
+        assert (tmp_path / output).is_file()
 
 
 def test_su2_q1_csv(tmp_path, impulse_file):

@@ -1,7 +1,9 @@
-"""Run every demo script end to end in a fresh interpreter, with every
-warning an error: a library warning in a demo fails the test."""
+"""Run every demo script and README's library tour end to end in a fresh
+interpreter, with every warning an error: a library warning there fails
+the test."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +23,15 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_tour_runs():
+    # the one ```python block of README.md, as a script, warnings as errors
+    readme = (ROOT / "README.md").read_text()
+    (tour,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", tour], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

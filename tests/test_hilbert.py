@@ -503,14 +503,14 @@ class TestOneSupportRule:
     @pytest.mark.parametrize("bit,op,lo", [(1, dht_even, 1), (0, dht_odd, 0)])
     def test_one_axis_tensor_is_the_1d_kernel(self, alg, bit, op, lo):
         chi, zeta = ParityVector((bit,)), ParityVector((1 - bit,))
-        out = dht_tensor(self.A.as_nd(), chi, zeta, [(lo, 12)], alg)
+        out = dht_tensor(self.A, chi, zeta, [(lo, 12)], alg)
         np.testing.assert_array_equal(out.values, op(self.A, (lo, 12), alg).values)
         assert out.offsets == (lo,)
 
     @pytest.mark.parametrize("alg", ALGS)
     @pytest.mark.parametrize("bit,op,lo", [(1, dht_even_halved, 1), (0, dht_odd_halved, 0)])
     def test_one_axis_mixed_is_the_halved_kernel(self, alg, bit, op, lo):
-        out = dht_mixed(self.A.as_nd(), ParityVector((bit,)), [(lo, 12)], alg)
+        out = dht_mixed(self.A, ParityVector((bit,)), [(lo, 12)], alg)
         expected = op(self.A, (lo, 12), alg).values
         if alg == "fast":  # the same sweep
             np.testing.assert_array_equal(out.values, expected)
@@ -523,10 +523,10 @@ class TestOneSupportRule:
         lambda a: dht_even_halved(a, (1, 4)),
         lambda a: dht_odd_halved(a, (0, 4), "naive"),
         lambda a: transform(a, TransformRequest("odd", (0, 4))),
-        lambda a: dht_mixed(a.as_nd(), ParityVector((1,)), [(1, 4)]),
-        lambda a: dht_mixed(a.as_nd(), ParityVector((0,)), [(0, 4)], "naive"),
-        lambda a: dht_tensor(a.as_nd(), ParityVector((1,)), ParityVector((0,)), [(1, 4)]),
-        lambda a: dht_tensor(a.as_nd(), ParityVector((0,)), ParityVector((0,)), [None]),
+        lambda a: dht_mixed(a, ParityVector((1,)), [(1, 4)]),
+        lambda a: dht_mixed(a, ParityVector((0,)), [(0, 4)], "naive"),
+        lambda a: dht_tensor(a, ParityVector((1,)), ParityVector((0,)), [(1, 4)]),
+        lambda a: dht_tensor(a, ParityVector((0,)), ParityVector((0,)), [None]),
         lambda a: dht_tensor(  # negative support on the identity axis only
             CoeffND((1, -2), np.ones((1, 5))), ParityVector((1, 0)), ParityVector((0, 0)),
             [(1, 4), (0, 4)]),

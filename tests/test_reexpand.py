@@ -132,7 +132,7 @@ class TestSubtractMean:
         a = Coeff1D(1, rng.standard_normal(5))
         spec = ReexpandSpec(COS, Q0, ((1, 12),), subtract_mean=True)
         out = reexpand_nd(a, spec)
-        modified = _subtract_face_means(a.as_nd(), COS)
+        modified = _subtract_face_means(a, COS)
         oracle = quadrature_oracle_box(modified, COS, Q0, [(1, 12)])
         np.testing.assert_allclose(out.values, oracle.values, atol=1e-10)
 
@@ -175,7 +175,7 @@ class TestSubtractMean:
         # and enters the sum: the kernel (1/(m+k) + 1/(m-k)) at k = 0 is 2/m
         from reexpansion.reexpand import _subtract_face_means
 
-        modified = _subtract_face_means(a if isinstance(a, CoeffND) else a.as_nd(), eta)
+        modified = _subtract_face_means(a, eta)
         assert modified[(0,) * len(eta)] != 0
         spec = ReexpandSpec(eta, WeightExponent.zero(len(eta)), box, subtract_mean=True)
         out = reexpand_nd(a, spec, alg)
@@ -394,12 +394,14 @@ class TestWeighted:
         # m b_m = (2/pi) int f'(t) sin(mt + pi/2) dt.
         a = Coeff1D.from_dict({1: 1, 3: -1})
         spec = ReexpandSpec(COS, WeightExponent((1,)), ((0, 10),))
-        res = reexpand_weighted(a, spec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = reexpand_weighted(a, spec)
+        assert caught == []  # fixture satisfies f(0) = f(pi) = 0
         oracle = quadrature_oracle_box(a, COS, WeightExponent((1,)), [(0, 10)])
         np.testing.assert_allclose(res.raw.values, oracle.values, atol=1e-10)
         assert res.sign == -1.0
         assert res.eta_effective.bits == (0,)
-        assert res.warnings == ()  # fixture satisfies f(0) = f(pi) = 0
 
     def test_q1_bookkeeping_identity_exact(self):
         a = Coeff1D.from_dict({1: 1, 3: -1})
@@ -453,8 +455,8 @@ class TestWeighted:
 
     def test_boundary_failure_warns_but_computes(self):
         spec = ReexpandSpec(COS, WeightExponent((1,)), ((0, 6),))
-        res = reexpand_weighted(E1, spec)  # cos t has f(0) = 1
-        assert res.warnings and "boundary" in res.warnings[0]
+        with pytest.warns(UserWarning, match="boundary precondition failed"):
+            res = reexpand_weighted(E1, spec)  # cos t has f(0) = 1
         assert not res.boundary.passed
         oracle = quadrature_oracle_box(E1, COS, WeightExponent((1,)), [(0, 6)])
         np.testing.assert_allclose(res.raw.values, oracle.values, atol=1e-10)
@@ -591,6 +593,21 @@ class TestSummabilityReport:
             cancel = summability_report(Coeff1D.from_dict({1: big, 2: -big}), "full", (4, 8))
         assert over.verdict_hint == "diverging"
         assert cancel.verdict_hint == "converging"
+
+    @pytest.mark.parametrize("kind", ["full", "even"])
+    @pytest.mark.parametrize("entries, verdict", [
+        ({1: 1.7e308, 2: 1.7e308, 3: -1.7e308, 4: -1.7e308}, "converging"),
+        ({1: 1.7e308, 2: 1.7e308}, "diverging"),
+    ], ids=["cancelling", "one-signed"])
+    def test_verdict_survives_overflowing_partial_sums(self, kind, entries, verdict):
+        # c + c overflows on the way to sum a_k = 0; the verdict sums the
+        # entries scaled by a power of two, the reported sums stay unscaled
+        a = Coeff1D.from_dict(entries)
+        with np.errstate(all="ignore"):  # the transform itself overflows here
+            rep = summability_report(a, kind, (4, 8))
+            plain = complex(np.sum(a.values))
+        assert rep.verdict_hint == verdict
+        np.testing.assert_equal(rep.moment_sum, plain)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coefficient_raises(self, bad):
