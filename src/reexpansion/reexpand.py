@@ -445,15 +445,16 @@ def summability_report(
     tail_hint = l1_norm(a) / max(1, big + 1 - kmax)
     # on k >= 0 this is log_weighted_sum with q = 0, bit for bit
     logw = float(np.sum(mag * np.log(np.abs(ks) + 1.0)))
-    # the verdict sums the entries in units of the peak entry's power of two:
-    # that scaling is exact, and no partial sum of finite entries overflows
-    peak = max(float(np.max(mag, initial=0.0)), np.finfo(float).tiny)
-    unit = np.ldexp(1.0, -int(np.frexp(peak)[1]))
-    u = nd.scaled(unit)
+    # the verdict sums the entries in units of the peak part's power of two:
+    # that scaling is exact, and no partial sum or modulus of finite entries
+    # overflows (|c + ci| does for c near the largest double)
+    parts = (np.max(np.abs(p), initial=0.0) for p in (nd.values.real, nd.values.imag))
+    peak = max(*map(float, parts), np.finfo(float).tiny)
+    u = nd.scaled(np.ldexp(1.0, -int(np.frexp(peak)[1])))
     s, s_alt, u0 = complex(np.sum(u.values)), complex(np.sum(u.values * sign)), u[0]
     sums = {"full": [s], "even": [s - u0], "even_halved": [s - u0, s_alt - u0]}
-    band = len(nd) * np.finfo(float).eps * float(np.sum(mag / peak))
-    converging = all(abs(v) / (peak * unit) <= band for v in sums.get(kind, []))
+    band = len(nd) * np.finfo(float).eps * float(np.sum(np.abs(u.values)))
+    converging = all(abs(v) <= band for v in sums.get(kind, []))
 
     return SummabilityReport(
         kind=kind,

@@ -25,9 +25,9 @@ c_l = (a_{2l} + a_{-2l} - a_{2l+2} - a_{-2l-2}) / (2 (2l + 1)).
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -67,10 +67,13 @@ _SU2_WEYL_ORDER = 2
 
 def _two_l(l) -> int:
     """Validate a half-integer highest weight and return 2l as an int."""
-    two = 2 * Fraction(l)
-    if two.denominator != 1 or two < 0:
+    if isinstance(l, int):
+        num, den = l, 1
+    else:  # lowest terms, so 2l is an integer iff den divides 2
+        num, den = (l if isinstance(l, (float, Fraction)) else Fraction(l)).as_integer_ratio()
+    if den > 2 or num < 0:
         raise ValueError(f"highest weight must lie in (1/2)N_0, got {l}")
-    return int(two)
+    return 2 * int(num) // int(den)
 
 
 @dataclass(frozen=True)
@@ -247,18 +250,51 @@ def _character_coeffs(a: CoeffND, two_lmax: int) -> np.ndarray:
     """c_l for every 2l in 0..two_lmax, by the telescoped closed form."""
     w = window_axis(a.values, a.offset, 0, -two_lmax - 2, two_lmax + 2)
     both = w[two_lmax + 2 :] + w[two_lmax + 2 :: -1]  # a_k + a_{-k}, k = 0..2 lmax + 2
-    return (both[:-2] - both[2:]) / (_SU2_WEYL_ORDER * np.arange(1, two_lmax + 2))
+    c = both[:-2]  # in place, so w and both are the only arrays of this size
+    c -= both[2:]
+    c /= _SU2_WEYL_ORDER * np.arange(1, two_lmax + 2)
+    return c
 
 
-def _diagonals(a: CoeffND, two_lmax: int, denom: WeylDenomSq, mode: str) -> list[np.ndarray]:
-    """Diagonal Fourier data for every 2l in 0..two_lmax, indexed by 2l."""
+class _Levels(Mapping):
+    """Read-only diagonal data for 2l = 0..top from one array: level 2l is
+    (2l + 1, diagonal).  In paper mode ``data`` is g on -top..top and the
+    diagonal its view at the weights of l; in character mode ``data[2l]``
+    is c_l, repeated over the diagonal when the level is read."""
+
+    def __init__(self, data: np.ndarray, character: bool):
+        data.flags.writeable = False
+        self._data, self._character = data, character
+        self._top = len(data) - 1 if character else (len(data) - 1) // 2
+
+    def __contains__(self, two_l) -> bool:
+        return isinstance(two_l, (int, np.integer)) and 0 <= two_l <= self._top
+
+    def __getitem__(self, two_l) -> tuple[int, np.ndarray]:
+        if two_l not in self:
+            raise KeyError(two_l)
+        two_l, top = int(two_l), self._top
+        if not self._character:
+            return two_l + 1, self._data[top - two_l : top + two_l + 1 : 2]
+        vals = np.full(two_l + 1, self._data[two_l])
+        vals.flags.writeable = False
+        return two_l + 1, vals
+
+    def __len__(self) -> int:
+        return self._top + 1
+
+    def __iter__(self):
+        return iter(range(self._top + 1))
+
+
+def _levels(a: CoeffND, two_lmax: int, denom: WeylDenomSq, mode: str) -> _Levels:
+    """Diagonal Fourier data for every 2l in 0..two_lmax, keyed by 2l."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if mode == "character":
-        return [np.full(t + 1, c) for t, c in enumerate(_character_coeffs(a, two_lmax))]
+        return _Levels(_character_coeffs(a, two_lmax), character=True)
     g = _inner(a, denom)
-    g = window_axis(g.values, g.offset, 0, -two_lmax, two_lmax)
-    return [g[two_lmax - t : two_lmax + t + 1 : 2] for t in range(two_lmax + 1)]
+    return _Levels(window_axis(g.values, g.offset, 0, -two_lmax, two_lmax), character=False)
 
 
 def diag_fourier_coeff(a: CoeffND, l, denom: WeylDenomSq, mode: str = "paper") -> np.ndarray:
@@ -267,10 +303,10 @@ def diag_fourier_coeff(a: CoeffND, l, denom: WeylDenomSq, mode: str = "paper") -
     mode "paper": value at weight mu_m is (1/|W|) sum_nu D(nu) a[mu_m + nu]
     over the finite support of the denominator table D.  mode
     "character": the true (Schur-scalar) coefficient repeated over the
-    diagonal; see :func:`character_coeff`.
+    diagonal; see :func:`character_coeff`.  A read-only array.
     """
     two_l = _two_l(l)
-    return _diagonals(a, two_l, denom, mode)[two_l]
+    return _levels(a, two_l, denom, mode)[two_l][1]
 
 
 def character_coeff(a: CoeffND, l) -> complex:
@@ -282,7 +318,14 @@ def character_coeff(a: CoeffND, l) -> complex:
     (a_{2l} + a_{-2l} - a_{2l+2} - a_{-2l-2}) / (|W| d).
     """
     two_l = _two_l(l)
-    return complex(_character_coeffs(a, two_l)[two_l])
+    v, lo = a.values, a.offset
+
+    def at(k):  # a_k, 0 off the support
+        return v[k - lo] if 0 <= k - lo < len(v) else 0j
+
+    # the operations of _character_coeffs at one level, numpy's complex division included
+    diff = np.complex128((at(two_l) + at(-two_l)) - (at(two_l + 2) + at(-two_l - 2)))
+    return complex(diff / (_SU2_WEYL_ORDER * (two_l + 1)))
 
 
 def character_coeff_quadrature(a: CoeffND, l, tol: float = 1e-10) -> complex:
@@ -324,6 +367,8 @@ class CentralCoeffTable:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if isinstance(self.entries, _Levels):  # the library's own, correct by construction
+            return
         ent = {}
         for two_l, (dim, vals) in self.entries.items():
             vals = np.asarray(vals, dtype=np.complex128)
@@ -349,10 +394,12 @@ class CentralCoeffTable:
 def ext_fourier_table(
     a: CoeffND, lmax, denom: WeylDenomSq, mode: str = "paper"
 ) -> CentralCoeffTable:
-    """Assemble diagonal Fourier data for all highest weights up to lmax."""
-    diagonals = _diagonals(a, _two_l(lmax), denom, mode)
-    entries = {two_l: (two_l + 1, vals) for two_l, vals in enumerate(diagonals)}
-    return CentralCoeffTable(entries, mode, denom.convention)
+    """Diagonal Fourier data for all highest weights up to lmax.
+
+    The entries are read-only views over one array of O(lmax) numbers:
+    the paper-mode diagonals slice g, and a character-mode diagonal is
+    built when its level is read."""
+    return CentralCoeffTable(_levels(a, _two_l(lmax), denom, mode), mode, denom.convention)
 
 
 def schatten_lp_norm(table: CentralCoeffTable, p: float) -> float:
@@ -380,10 +427,14 @@ def condition_q1_sum(
         raise ValueError(f"mode must be one of {MODES}")
     two_lmax = _two_l(lmax)
     if mode == "paper":
-        g = _inner(a, denom)
-        return _partial_sums(np.abs(window_axis(g.values, g.offset, 0, -two_lmax, two_lmax)), two_lmax)
+        return _paper_q1(_inner(a, denom), two_lmax)
     d = np.arange(1, two_lmax + 2)
     return np.cumsum(d * d * np.abs(_character_coeffs(a, two_lmax))).tolist()
+
+
+def _paper_q1(g: CoeffND, two_lmax: int) -> list[float]:
+    """:func:`condition_q1_sum` in paper mode, read from the inner sequence g."""
+    return _partial_sums(np.abs(window_axis(g.values, g.offset, 0, -two_lmax, two_lmax)), two_lmax)
 
 
 def _partial_sums(x: np.ndarray, two_lmax: int) -> list[float]:
@@ -423,7 +474,8 @@ def q2_diagnostic(
     D(nu) a[mu + nu] (the paper-mode diagonal values), regarded as a
     sequence over the integer weight lattice (its whole support), and
     h is the full discrete Hilbert transform.
-    The plain side is :func:`condition_q1_sum` in the requested mode.
+    The plain side is :func:`condition_q1_sum` in the requested mode
+    (paper mode read from the same g).
     The comparison is reported as data; no constant is adjudicated.
     """
     g = _inner(a, denom)  # a table of rank other than 1 is refused before any warning
@@ -435,7 +487,9 @@ def q2_diagnostic(
     return Q2Diagnostic(
         two_l=tuple(range(two_lmax + 1)),
         hilbert_side=tuple(_partial_sums(hg, two_lmax)),
-        plain_side=tuple(condition_q1_sum(a, lmax, denom, mode)),
+        plain_side=tuple(
+            _paper_q1(g, two_lmax) if mode == "paper" else condition_q1_sum(a, lmax, denom, mode)
+        ),
         parity=parity,
     )
 

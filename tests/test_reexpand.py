@@ -609,6 +609,20 @@ class TestSummabilityReport:
         assert rep.verdict_hint == verdict
         np.testing.assert_equal(rep.moment_sum, plain)
 
+    @pytest.mark.parametrize("entries, verdict", [
+        ({1: 1.7e308 + 1.7e308j, 2: -(1.7e308 + 1.7e308j)}, "converging"),
+        ({1: 1.7e308 + 1.7e308j, 2: 1.7e308 + 1.7e308j}, "diverging"),
+    ], ids=["cancelling", "one-signed"])
+    def test_verdict_survives_overflowing_moduli(self, entries, verdict):
+        # |c + ci| overflows although both parts are finite; the peak and the
+        # band come from the real and imaginary parts, scaled by a power of two
+        a = Coeff1D.from_dict(entries)
+        with np.errstate(all="ignore"):  # the transform itself overflows here
+            rep = summability_report(a, "full", (4, 8))
+            plain = complex(np.sum(a.values))
+        assert rep.verdict_hint == verdict
+        np.testing.assert_equal(rep.moment_sum, plain)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coefficient_raises(self, bad):
         with warnings.catch_warnings(), pytest.raises(ValueError, match="coefficients must be finite"):

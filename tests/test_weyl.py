@@ -6,7 +6,9 @@ the telescoping sums are brute-forced; Hilbert-side partial sums are
 recomputed with literal double loops.
 """
 
+import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +34,7 @@ from reexpansion import (
     weyl_denom_sq_coeffs,
     weyl_dimension,
 )
+from reexpansion.weyl import _two_l
 
 SU2 = RootSystem.su2()
 DNN = weyl_denom_sq_coeffs(SU2, "nonnegative")
@@ -305,6 +308,139 @@ class TestCentralTable:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             CentralCoeffTable({2: (3, np.array([1.0]))}, "paper", "nonnegative")
+
+
+def _table_inputs():
+    rng = np.random.default_rng(29)
+    return {
+        "real": Coeff1D(-13, rng.standard_normal(30)),
+        "complex": Coeff1D(-150, rng.standard_normal(301) + 1j * rng.standard_normal(301)),
+        "empty": Coeff1D(4, np.zeros(0)),
+    }
+
+
+def _reference_level(a, two_l, denom, mode) -> np.ndarray:
+    """Level 2l computed on its own: g at the weights of l (paper), or c_l by
+    the all-levels closed form repeated (character)."""
+    if mode == "character":
+        return np.full(two_l + 1, _all_levels_character(a, two_l)[two_l])
+    span = max(abs(nu) for (nu,) in denom.coeffs)
+    table = np.array([denom.get(nu) for nu in range(-span, span + 1)], dtype=float)
+    g = np.convolve(a.values, table) / 2 if len(a) else np.zeros(0, complex)
+    lo = a.offset - span
+    return np.array(
+        [g[mu - lo] if 0 <= mu - lo < len(g) else 0j for mu in range(-two_l, two_l + 1, 2)],
+        dtype=np.complex128,
+    )
+
+
+def _all_levels_character(a, two_lmax) -> np.ndarray:
+    """(a_k + a_{-k} - a_{k+2} - a_{-k-2}) / (2 (k + 1)) for k = 0..two_lmax, as one array."""
+    w = np.array([a[k] for k in range(-two_lmax - 2, two_lmax + 3)], dtype=np.complex128)
+    both = w[two_lmax + 2 :] + w[two_lmax + 2 :: -1]
+    return (both[:-2] - both[2:]) / (2 * np.arange(1, two_lmax + 2))
+
+
+class TestTableViews:
+    """ext_fourier_table is read-only levels over one array, each level
+    bit for bit what it is when computed on its own."""
+
+    @pytest.mark.parametrize("mode", ["paper", "character"])
+    @pytest.mark.parametrize("lmax", [0, Fraction(1, 2), 6, Fraction(31, 2)], ids=str)
+    @pytest.mark.parametrize("name", ["real", "complex", "empty"])
+    @pytest.mark.parametrize("denom", [DNN, DPS, D_WIDE], ids=["DNN", "DPS", "span-6"])
+    def test_every_level_matches_its_reference(self, denom, name, lmax, mode):
+        a = _table_inputs()[name]
+        table = ext_fourier_table(a, lmax, denom, mode)
+        top = int(2 * lmax)
+        assert list(table.entries) == list(range(top + 1))
+        assert len(table.entries) == top + 1
+        for two_l, (dim, vals) in table.entries.items():
+            want = _reference_level(a, two_l, denom, mode)
+            assert dim == two_l + 1 and vals.dtype == np.complex128
+            assert vals.tobytes() == want.tobytes()
+            alone = diag_fourier_coeff(a, Fraction(two_l, 2), denom, mode)
+            assert alone.tobytes() == want.tobytes()
+        assert len(table.rows()) == sum(t + 1 for t in range(top + 1))
+
+    @pytest.mark.parametrize("mode", ["paper", "character"])
+    def test_keys_outside_the_levels_raise(self, mode):
+        entries = ext_fourier_table(_table_inputs()["real"], 3, DNN, mode).entries
+        for key in (-1, 7, 1.0, "1", None):
+            assert key not in entries
+            with pytest.raises(KeyError):
+                entries[key]
+        assert 6 in entries and np.int64(6) in entries
+        assert entries.get(7) is None
+        assert entries[np.int64(2)][1].tobytes() == entries[2][1].tobytes()
+
+    @pytest.mark.parametrize("mode", ["paper", "character"])
+    def test_levels_are_read_only(self, mode):
+        a = _table_inputs()["complex"]
+        table = ext_fourier_table(a, 5, DNN, mode)
+        for _, vals in table.entries.values():
+            with pytest.raises(ValueError, match="read-only"):
+                vals[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            diag_fourier_coeff(a, 2, DNN, mode)[0] = 1.0
+        with pytest.raises(TypeError):
+            table.entries[0] = (1, np.zeros(1))
+
+    def test_caller_tables_are_still_validated(self):
+        t = CentralCoeffTable({np.int64(1): (2.0, [1, 2])}, "paper", "nonnegative")
+        dim, vals = t.entries[1]
+        assert type(dim) is int and vals.dtype == np.complex128
+        with pytest.raises(ValueError, match="mode must be one of"):
+            CentralCoeffTable({}, "bogus", "nonnegative")
+
+    def test_character_mode_table_is_linear_in_lmax(self):
+        # sum_l (2l + 1) copies of c_l would be 50M complex numbers (800 MB) here;
+        # the table holds the 10,001 values of c_l and builds a level when read
+        import tracemalloc
+
+        a = _table_inputs()["complex"]
+        ext_fourier_table(a, 1, DNN, "character")  # warm
+        tracemalloc.start()
+        try:
+            table = ext_fourier_table(a, 5000, DNN, "character")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert len(table.entries) == 10_001
+        dim, vals = table.entries[10_000]
+        want = _all_levels_character(a, 10_000)[10_000]
+        assert dim == 10_001 and np.all(vals == want)
+
+
+class TestCharacterCoeffLookups:
+    @pytest.mark.parametrize("name", ["real", "complex", "empty"])
+    def test_bit_identical_to_all_levels_formula(self, name):
+        a = _table_inputs()[name]
+        want = _all_levels_character(a, 60)
+        for two_l in range(61):
+            got = np.complex128(character_coeff(a, Fraction(two_l, 2)))
+            assert got.tobytes() == want[two_l].tobytes(), two_l
+
+    def test_signed_zeros_follow_the_formula(self):
+        a = Coeff1D(-3, np.array([-0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0]) * (1 - 1j))
+        want = _all_levels_character(a, 4)
+        for two_l in range(5):
+            got = np.complex128(character_coeff(a, Fraction(two_l, 2)))
+            assert got.tobytes() == want[two_l].tobytes()
+
+    @pytest.mark.parametrize("l, two_l", [
+        (0, 0), (3, 6), (True, 2), (0.5, 1), (-0.0, 0), (Fraction(7, 2), 7), ("5/2", 5),
+        ("1.5", 3), (Decimal("2.5"), 5), (np.int64(4), 8), (np.float64(2.5), 5), (2**70, 2**71),
+    ], ids=repr)
+    def test_highest_weights_accepted(self, l, two_l):
+        got = _two_l(l)
+        assert type(got) is int and got == two_l
+
+    @pytest.mark.parametrize("l", [-1, -0.5, 0.3, Fraction(1, 3), "1/4", 5e-324, Fraction(-1, 2)], ids=repr)
+    def test_highest_weights_refused(self, l):
+        with pytest.raises(ValueError, match=rf"^highest weight must lie in \(1/2\)N_0, got {re.escape(str(l))}$"):
+            su2_weights(l)
 
 
 class TestSchatten:
