@@ -45,9 +45,7 @@ print(f"  |Delta|^2 = 2 - 2 cos 2t  ->  {dict(sorted(dnn.coeffs.items()))}")
 print(f"  signed product form       ->  {dict(sorted(dps.coeffs.items()))}")
 print(f"  support size v = {dnn.support_size}; coefficients sum to zero and are symmetric")
 
-su3 = RootSystem.make([(1, 0), (0, 1), (1, 1)])
-print(f"\n  Weyl dimension formula: SU(2) weight 2l=7 -> {weyl_dimension((7,), su2)},"
-      f"  SU(3) adjoint (1,1) -> {weyl_dimension((1, 1), su3)}")
+print(f"\n  Weyl dimension formula: SU(2) weight 2l=7 -> {weyl_dimension((7,), su2)}")
 
 print()
 print("=" * 72)

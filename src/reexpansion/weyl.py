@@ -1,4 +1,4 @@
-"""Root systems, SU(2) characters, and central-function Fourier data.
+"""Rank-1 root systems, SU(2) characters, and central-function Fourier data.
 
 The torus coordinate for SU(2) is chosen so that the irreducible
 representation with highest weight l (2l a nonnegative integer) has
@@ -8,11 +8,11 @@ The Weyl group has two elements, and the 1/|W| factor is kept in the
 diagonal Fourier coefficients: with it the constant function f = 1 has
 coefficient exactly 1 at the trivial representation.
 
-The expansion of the squared Weyl denominator supports two
-conventions: ``nonnegative`` expands prod (2 - 2 cos(alpha, t)) (the
-density that enters the Weyl integral formula) and ``paper_signed``
-expands prod (e^{i(alpha,t)} + e^{-i(alpha,t)} - 2), which differs by
-(-1)^{#roots}.
+Root data is rank 1 only: a root is an integer 1-tuple (alpha,).  The
+squared Weyl denominator expands in two conventions: ``nonnegative``,
+prod (2 - 2 cos(alpha t)) (the density of the Weyl integral formula),
+and ``paper_signed``, prod (e^{i alpha t} + e^{-i alpha t} - 2), which
+differs by (-1)^{#roots}.
 
 Every SU(2) sum is read from two objects.  The inner sequence
 g(mu) = (1/|W|) sum_nu D(nu) a[mu + nu] of a rank-1 table D is one
@@ -76,39 +76,38 @@ def _two_l(l) -> int:
     return 2 * int(num) // int(den)
 
 
+def _ints(xs, what: str) -> tuple[int, ...]:
+    """xs as ints; an entry that int() would truncate is refused."""
+    xs = tuple(xs)
+    if any(int(x) != x for x in xs):
+        raise ValueError(f"{what} must be integers, got {xs}")
+    return tuple(int(x) for x in xs)
+
+
 @dataclass(frozen=True)
 class RootSystem:
-    """Rank, positive roots (integer vectors), and their half-sum."""
+    """Rank (always 1), positive roots (integer 1-tuples), and their half-sum."""
 
     rank: int
-    positive_roots: tuple[tuple[int, ...], ...]
-    half_sum: tuple[Fraction, ...]
+    positive_roots: tuple[tuple[int], ...]
+    half_sum: tuple[Fraction]
 
     def __post_init__(self):
-        roots = tuple(tuple(int(c) for c in alpha) for alpha in self.positive_roots)
-        if not roots:
-            raise ValueError("at least one positive root is required")
-        if any(len(alpha) != self.rank for alpha in roots):
-            raise ValueError("every root must have length equal to the rank")
-        if any(all(c == 0 for c in alpha) for alpha in roots):
-            raise ValueError("roots must be nonzero")
-        delta = tuple(
-            Fraction(sum(alpha[j] for alpha in roots), 2) for j in range(self.rank)
-        )
+        roots = tuple(_ints(alpha, "roots") for alpha in self.positive_roots)
+        if self.rank != 1 or any(len(alpha) != 1 for alpha in roots):
+            raise ValueError("only rank-1 root systems are supported")
+        if not roots or (0,) in roots:
+            raise ValueError("at least one positive root is required, and roots must be nonzero")
         stored = tuple(Fraction(x) for x in self.half_sum)
-        if stored != delta:
-            raise ValueError(f"half_sum {stored} != recomputed {delta}")
+        if stored != (Fraction(sum(map(sum, roots)), 2),):
+            raise ValueError(f"half_sum {stored} is not half the sum of the roots {roots}")
         object.__setattr__(self, "positive_roots", roots)
         object.__setattr__(self, "half_sum", stored)
 
     @classmethod
     def make(cls, positive_roots: Sequence[Sequence[int]]) -> "RootSystem":
-        roots = tuple(tuple(int(c) for c in alpha) for alpha in positive_roots)
-        rank = len(roots[0]) if roots else 0
-        delta = tuple(
-            Fraction(sum(alpha[j] for alpha in roots), 2) for j in range(rank)
-        )
-        return cls(rank, roots, delta)
+        roots = [_ints(alpha, "roots") for alpha in positive_roots]
+        return cls(len(roots[0]) if roots else 1, tuple(roots), (Fraction(sum(map(sum, roots)), 2),))
 
     @classmethod
     def su2(cls) -> "RootSystem":
@@ -118,85 +117,63 @@ class RootSystem:
 
 @dataclass(frozen=True)
 class WeylDenomSq:
-    """Finite Fourier support of the squared Weyl denominator."""
+    """Finite Fourier support of the squared Weyl denominator: ``table`` is D on
+    -span..span as one read-only integer array, and ``coeffs`` maps (nu,) to D(nu)."""
 
-    coeffs: Mapping[tuple[int, ...], int]
+    coeffs: Mapping[tuple[int], int]
     convention: str
 
     def __post_init__(self):
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
-        coeffs = {tuple(int(x) for x in k): int(v) for k, v in self.coeffs.items() if v}
-        if sum(coeffs.values()) != 0:
-            raise ValueError("Weyl denominator coefficients must sum to 0")
-        for nu, v in coeffs.items():
-            neg = tuple(-x for x in nu)
-            if coeffs.get(neg, 0) != v:
-                raise ValueError("Weyl denominator coefficients must be symmetric")
-        object.__setattr__(self, "coeffs", coeffs)
+        if any(len(nu) != 1 for nu in self.coeffs):
+            raise ValueError("Weyl denominator weights must be 1-tuples (nu,): rank 1 only")
+        nus = _ints((nu for (nu,) in self.coeffs), "weights")
+        coeffs = {nu: c for nu, c in zip(nus, _ints(self.coeffs.values(), "coefficients")) if c}
+        if not coeffs:
+            raise ValueError("Weyl denominator table is empty")
+        span = max(map(abs, coeffs))
+        table = np.array([coeffs.get(nu, 0) for nu in range(-span, span + 1)], dtype=np.int64)
+        if table.sum() != 0 or np.any(table != table[::-1]):
+            raise ValueError("Weyl denominator coefficients must sum to 0 and be symmetric")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "coeffs", {(nu - span,): int(c) for nu, c in enumerate(table) if c})
 
     @property
     def support_size(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def rank(self) -> int:
-        return len(next(iter(self.coeffs)))
-
     def get(self, nu) -> int:
-        key = (int(nu),) if isinstance(nu, (int, np.integer)) else tuple(int(x) for x in nu)
-        return self.coeffs.get(key, 0)
+        return self.coeffs.get(tuple(np.atleast_1d(nu).tolist()), 0)  # nu an integer or (nu,)
 
 
 def weyl_denom_sq_coeffs(roots: RootSystem, convention: str = "nonnegative") -> WeylDenomSq:
-    """Expand the squared Weyl denominator into its finite Fourier support.
-
-    One factor per positive root alpha:
-    2 - 2 cos(alpha, t) for the nonnegative convention (coefficients
-    {0: 2, +-alpha: -1}), or e^{i(alpha,t)} + e^{-i(alpha,t)} - 2 for
-    the literal signed product form.
-    """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
-    acc: dict[tuple[int, ...], int] = {(0,) * roots.rank: 1}
-    for alpha in roots.positive_roots:
-        neg = tuple(-c for c in alpha)
-        zero = (0,) * roots.rank
-        if convention == "nonnegative":
-            factor = {zero: 2, alpha: -1}
-            factor[neg] = factor.get(neg, 0) - 1
-        else:
-            factor = {zero: -2, alpha: 1}
-            factor[neg] = factor.get(neg, 0) + 1
-        nxt: dict[tuple[int, ...], int] = {}
-        for nu, c in acc.items():
-            for mu, f in factor.items():
-                key = tuple(n + m for n, m in zip(nu, mu))
-                nxt[key] = nxt.get(key, 0) + c * f
-        acc = {k: v for k, v in nxt.items() if v}
-    return WeylDenomSq(acc, convention)
+    """Expand the squared Weyl denominator: the convolution of one integer factor per
+    positive root alpha, 2 - 2 cos(alpha t) (-1, 2, -1 at -alpha, 0, alpha) in the nonnegative
+    convention, or its negation e^{i alpha t} + e^{-i alpha t} - 2 in the signed product form."""
+    if len(roots.positive_roots) > 31:  # sum |D| <= 4^#roots, which int64 holds up to 4^31
+        raise ValueError("at most 31 positive roots are supported")
+    sign = 1 if convention == "nonnegative" else -1
+    table = np.ones(1, dtype=np.int64)
+    for (alpha,) in roots.positive_roots:
+        factor = np.zeros(2 * abs(alpha) + 1, dtype=np.int64)
+        factor[[0, abs(alpha), -1]] = -sign, 2 * sign, -sign
+        table = np.convolve(table, factor)
+    span = len(table) // 2
+    return WeylDenomSq({(nu - span,): int(c) for nu, c in enumerate(table)}, convention)
 
 
 def weyl_dimension(mu: Sequence[int], roots: RootSystem) -> int:
-    """Dimension of the representation with dominant weight mu.
+    """Dimension of the representation with dominant weight mu = (m,).
 
-    Exact rational product of (mu + delta, alpha) / (delta, alpha) over
-    the positive roots, with the standard dot pairing; raises if the
-    result is not a positive integer.
-    """
-    mu = tuple(int(x) for x in mu)
-    if len(mu) != roots.rank:
-        raise ValueError(f"weight has length {len(mu)}, rank is {roots.rank}")
-    num = Fraction(1)
-    den = Fraction(1)
-    for alpha in roots.positive_roots:
-        d_a = sum(dj * aj for dj, aj in zip(roots.half_sum, alpha))
-        if d_a == 0:
-            raise ValueError(f"(delta, alpha) = 0 for root {alpha}")
-        n_a = sum((mj + dj) * aj for mj, dj, aj in zip(mu, roots.half_sum, alpha))
-        num *= n_a
-        den *= d_a
-    dim = num / den
+    In rank 1 each factor (mu + delta, alpha) / (delta, alpha) of the Weyl product is
+    (m + delta) / delta, so the dimension is ((m + delta) / delta)^#roots, exact in
+    Fractions; raises if it is not a positive integer."""
+    (m,), (delta,) = _ints(mu, "weights"), roots.half_sum  # a weight of length 1
+    if delta == 0:
+        raise ValueError(f"(delta, alpha) = 0 for the roots {roots.positive_roots}")
+    dim = ((m + delta) / delta) ** len(roots.positive_roots)
     if dim.denominator != 1 or dim <= 0:
         raise ValueError(f"weight {mu} is not dominant (dimension formula gives {dim})")
     return int(dim)
@@ -212,26 +189,16 @@ def su2_character(l, t):
     """SU(2) character sin((2l+1)t)/sin(t), singularities filled by the
     weight sum.  Accepts scalars or arrays."""
     two_l = _two_l(l)
-    n = two_l + 1
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     sin_t = np.sin(arr)
     out = np.empty_like(arr)
     safe = np.abs(sin_t) > 1e-8
-    out[safe] = np.sin(n * arr[safe]) / sin_t[safe]
-    if np.any(~safe):
-        w = np.arange(-two_l, two_l + 1, 2, dtype=float)
-        out[~safe] = np.cos(np.outer(arr[~safe], w)).sum(axis=1)
+    out[safe] = np.sin((two_l + 1) * arr[safe]) / sin_t[safe]
+    w = np.arange(-two_l, two_l + 1, 2, dtype=float)
+    out[~safe] = np.cos(np.outer(arr[~safe], w)).sum(axis=1)
     return float(out[0]) if scalar else out
-
-
-def _table(denom: WeylDenomSq) -> np.ndarray:
-    """The rank-1 table D as a dense array on -span..span."""
-    if denom.rank != 1:
-        raise ValueError("SU(2) operations need a rank-1 denominator table")
-    span = max(abs(nu) for (nu,) in denom.coeffs)
-    return np.array([denom.get(nu) for nu in range(-span, span + 1)], dtype=float)
 
 
 def _inner(a: CoeffND, denom: WeylDenomSq) -> CoeffND:
@@ -240,10 +207,9 @@ def _inner(a: CoeffND, denom: WeylDenomSq) -> CoeffND:
     D is symmetric, so g is the convolution a * D / |W|, on a's block
     widened by the span of D.
     """
-    table = _table(denom)
     if not len(a):  # np.convolve refuses an empty operand
         return a
-    return Coeff1D(a.offset - len(table) // 2, np.convolve(a.values, table) / _SU2_WEYL_ORDER)
+    return Coeff1D(a.offset - len(denom.table) // 2, np.convolve(a.values, denom.table) / _SU2_WEYL_ORDER)
 
 
 def _character_coeffs(a: CoeffND, two_lmax: int) -> np.ndarray:
@@ -340,7 +306,6 @@ def character_coeff_quadrature(a: CoeffND, l, tol: float = 1e-10) -> complex:
     """
     _require_finite(a)
     two_l = _two_l(l)
-    d = two_l + 1
     kmax = int(np.max(np.abs(a.indices()))) if len(a) else 0
     panels = _panels(kmax + two_l + 2)  # 2l + 2: top frequency of chi_l |Delta|^2
 
@@ -353,7 +318,7 @@ def character_coeff_quadrature(a: CoeffND, l, tol: float = 1e-10) -> complex:
             moments += _phase_rows(a.offset, len(a), t[c]) @ g[c]
         return a.values @ moments / (2.0 * np.pi)
 
-    return complex(_refined(integrate, tol) / (_SU2_WEYL_ORDER * d))
+    return complex(_refined(integrate, tol) / (_SU2_WEYL_ORDER * (two_l + 1)))
 
 
 @dataclass(frozen=True)
@@ -478,7 +443,7 @@ def q2_diagnostic(
     (paper mode read from the same g).
     The comparison is reported as data; no constant is adjudicated.
     """
-    g = _inner(a, denom)  # a table of rank other than 1 is refused before any warning
+    g = _inner(a, denom)
     two_lmax = _two_l(lmax)
     parity = parity_check(a)
     if parity != "even":

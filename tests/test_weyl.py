@@ -6,6 +6,7 @@ the telescoping sums are brute-forced; Hilbert-side partial sums are
 recomputed with literal double loops.
 """
 
+import math
 import re
 import warnings
 from decimal import Decimal
@@ -52,26 +53,40 @@ class TestDenominator:
     def test_su2_nonnegative(self):
         assert DNN.coeffs == {(-2,): -1, (0,): 2, (2,): -1}
         assert DNN.support_size == 3
+        np.testing.assert_array_equal(DNN.table, [-1, 0, 2, 0, -1])
+        assert not DNN.table.flags.writeable
 
     def test_su2_paper_signed(self):
         assert DPS.coeffs == {(-2,): 1, (0,): -2, (2,): 1}
 
-    def test_rank2_outer_product(self):
-        rs = RootSystem.make([(2, 0), (0, 2)])
-        d = weyl_denom_sq_coeffs(rs)
-        assert d.support_size == 9
-        # outer product of two rank-1 tables
-        for (n1,), c1 in DNN.coeffs.items():
-            for (n2,), c2 in DNN.coeffs.items():
-                assert d.get((n1, n2)) == c1 * c2
-
     @pytest.mark.parametrize("convention", ["nonnegative", "paper_signed"])
-    def test_invariants_any_root_list(self, convention):
-        rs = RootSystem.make([(1, 0), (0, 1), (1, 1)])
-        d = weyl_denom_sq_coeffs(rs, convention)
+    @pytest.mark.parametrize("roots", [[(2,)], [(2,), (4,)], [(1,), (3,), (-2,)]])
+    def test_matches_dft_of_trig_product(self, roots, convention):
+        # D is the Fourier series of prod_alpha (+-)(2 - 2 cos(alpha t)), which has
+        # frequencies |nu| <= span: the DFT on n > 2 span + 1 samples reads it unaliased
+        span = sum(abs(alpha) for (alpha,) in roots)
+        n = 2 * span + 3
+        t = 2 * np.pi * np.arange(n) / n
+        sign = 1.0 if convention == "nonnegative" else -1.0
+        product = np.prod([sign * (2 - 2 * np.cos(alpha * t)) for (alpha,) in roots], axis=0)
+        spectrum = np.fft.fft(product) / n
+        np.testing.assert_allclose(spectrum.imag, 0, atol=1e-9)
+        exact = np.rint(spectrum.real).astype(np.int64)
+        np.testing.assert_allclose(spectrum.real, exact, atol=1e-9)
+        assert exact[span + 1] == exact[n - span - 1] == 0  # nothing beyond the span
+        d = weyl_denom_sq_coeffs(RootSystem.make(roots), convention)
+        np.testing.assert_array_equal(d.table, exact[np.arange(-span, span + 1) % n])
+        assert d.coeffs == {(nu,): int(exact[nu % n]) for nu in range(-span, span + 1) if exact[nu % n]}
         assert sum(d.coeffs.values()) == 0
-        for nu, c in d.coeffs.items():
-            assert d.get(tuple(-x for x in nu)) == c
+        for (nu,), c in d.coeffs.items():
+            assert d.get(-nu) == d.get((-nu,)) == c
+
+    def test_largest_root_count_is_exact(self):
+        # the central coefficient of (2 - 2 cos t)^31 is C(62, 31), just inside int64
+        d = weyl_denom_sq_coeffs(RootSystem.make([(1,)] * 31))
+        assert d.get(0) == math.comb(62, 31)
+        with pytest.raises(ValueError):
+            weyl_denom_sq_coeffs(RootSystem.make([(1,)] * 32))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -80,6 +95,19 @@ class TestDenominator:
             WeylDenomSq({(1,): 1, (-1,): -1}, "nonnegative")  # not symmetric
         with pytest.raises(ValueError):
             weyl_denom_sq_coeffs(SU2, "sideways")
+
+    @pytest.mark.parametrize("coeffs", [{}, {(0,): 0, (3,): 0}])
+    def test_rejects_empty_table(self, coeffs):
+        with pytest.raises(ValueError, match="empty"):
+            WeylDenomSq(coeffs, "nonnegative")
+
+    def test_rejects_non_integral_coefficients(self):
+        with pytest.raises(ValueError, match="integers"):
+            WeylDenomSq({(0,): 2.5, (1,): -1.25, (-1,): -1.25}, "nonnegative")
+
+    def test_rejects_rank2_table(self):
+        with pytest.raises(ValueError, match="rank 1"):
+            WeylDenomSq({(0, 0): 2, (1, 0): -1, (-1, 0): -1}, "nonnegative")
 
 
 class TestRootSystem:
@@ -94,7 +122,15 @@ class TestRootSystem:
 
     def test_rejects_zero_root(self):
         with pytest.raises(ValueError):
-            RootSystem.make([(0, 0)])
+            RootSystem.make([(0,)])
+
+    def test_rejects_rank2(self):
+        with pytest.raises(ValueError, match="rank-1"):
+            RootSystem.make([(1, 0), (0, 1)])
+
+    def test_rejects_non_integral_root(self):
+        with pytest.raises(ValueError, match="integers"):
+            RootSystem.make([(2.7,)])
 
 
 class TestDimension:
@@ -105,13 +141,34 @@ class TestDimension:
         for two_l in range(0, 41):
             assert weyl_dimension((two_l,), SU2) == two_l + 1
 
-    def test_su3_adjoint(self):
-        su3 = RootSystem.make([(1, 0), (0, 1), (1, 1)])
-        assert weyl_dimension((1, 1), su3) == 8
+    @pytest.mark.parametrize("roots", [[(1,)], [(2,), (4,)], [(1,), (3,), (-2,)]])
+    def test_matches_general_product(self, roots):
+        # prod_alpha (mu + delta, alpha) / (delta, alpha), the formula for any rank
+        rs = RootSystem.make(roots)
+        delta = (Fraction(sum(alpha for (alpha,) in roots), 2),)
+        for m in range(-8, 13):
+            mu = (m,)
+            dim = Fraction(1)
+            for alpha in roots:
+                dim *= sum((mj + dj) * aj for mj, dj, aj in zip(mu, delta, alpha))
+                dim /= sum(dj * aj for dj, aj in zip(delta, alpha))
+            if dim.denominator == 1 and dim > 0:
+                assert weyl_dimension(mu, rs) == dim
+            else:
+                with pytest.raises(ValueError):
+                    weyl_dimension(mu, rs)
 
     def test_rejects_nondominant(self):
         with pytest.raises(ValueError):
             weyl_dimension((-1,), SU2)
+
+    def test_rejects_non_integral_weight(self):
+        with pytest.raises(ValueError, match="integers"):
+            weyl_dimension((1.5,), SU2)
+
+    def test_rejects_vanishing_half_sum(self):
+        with pytest.raises(ValueError):
+            weyl_dimension((0,), RootSystem.make([(2,), (-2,)]))
 
 
 class TestSu2Characters:
