@@ -101,6 +101,8 @@ class RootSystem:
         stored = tuple(Fraction(x) for x in self.half_sum)
         if stored != (Fraction(sum(map(sum, roots)), 2),):
             raise ValueError(f"half_sum {stored} is not half the sum of the roots {roots}")
+        if stored == (0,):  # (delta, alpha) = 0: no dimension formula, no group density
+            raise ValueError(f"the roots {roots} have half-sum 0")
         object.__setattr__(self, "positive_roots", roots)
         object.__setattr__(self, "half_sum", stored)
 
@@ -170,9 +172,7 @@ def weyl_dimension(mu: Sequence[int], roots: RootSystem) -> int:
     In rank 1 each factor (mu + delta, alpha) / (delta, alpha) of the Weyl product is
     (m + delta) / delta, so the dimension is ((m + delta) / delta)^#roots, exact in
     Fractions; raises if it is not a positive integer."""
-    (m,), (delta,) = _ints(mu, "weights"), roots.half_sum  # a weight of length 1
-    if delta == 0:
-        raise ValueError(f"(delta, alpha) = 0 for the roots {roots.positive_roots}")
+    (m,), (delta,) = _ints(mu, "weights"), roots.half_sum  # a weight of length 1; delta != 0
     dim = ((m + delta) / delta) ** len(roots.positive_roots)
     if dim.denominator != 1 or dim <= 0:
         raise ValueError(f"weight {mu} is not dominant (dimension formula gives {dim})")
@@ -252,14 +252,29 @@ class _Levels(Mapping):
     def __iter__(self):
         return iter(range(self._top + 1))
 
+    def sums(self, p: float = 1) -> np.ndarray:
+        """Running totals of (2l + 1) sum_m |v_m|^p over the levels: a character level
+        adds d^2 |c_l|^p, and paper level 2l adds mu = +-2l to level 2l - 2 (parity class)."""
+        x, top = np.abs(self._data), self._top
+        if p != 1:
+            x **= p
+        d = np.arange(1, top + 2)
+        if self._character:
+            return np.cumsum(d * d * x)
+        level = x[top:]  # x is our own, so the level sums build in place
+        level[1:] += x[:top][::-1]
+        level[0::2] = np.cumsum(level[0::2])
+        level[1::2] = np.cumsum(level[1::2])
+        return np.cumsum(d * level)
 
-def _levels(a: CoeffND, two_lmax: int, denom: WeylDenomSq, mode: str) -> _Levels:
-    """Diagonal Fourier data for every 2l in 0..two_lmax, keyed by 2l."""
+
+def _levels(a: CoeffND, two_lmax: int, denom: WeylDenomSq, mode: str, g=None) -> _Levels:
+    """Diagonal Fourier data for every 2l in 0..two_lmax, keyed by 2l (paper mode: g if given)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if mode == "character":
         return _Levels(_character_coeffs(a, two_lmax), character=True)
-    g = _inner(a, denom)
+    g = _inner(a, denom) if g is None else g
     return _Levels(window_axis(g.values, g.offset, 0, -two_lmax, two_lmax), character=False)
 
 
@@ -323,7 +338,7 @@ def character_coeff_quadrature(a: CoeffND, l, tol: float = 1e-10) -> complex:
 
 @dataclass(frozen=True)
 class CentralCoeffTable:
-    """Per-representation diagonal Fourier data, keyed by 2l."""
+    """Diagonal Fourier data keyed by 2l, as :func:`ext_fourier_table` builds it."""
 
     entries: Mapping[int, tuple[int, np.ndarray]]
     mode: str
@@ -332,17 +347,8 @@ class CentralCoeffTable:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if isinstance(self.entries, _Levels):  # the library's own, correct by construction
-            return
-        ent = {}
-        for two_l, (dim, vals) in self.entries.items():
-            vals = np.asarray(vals, dtype=np.complex128)
-            if len(vals) != dim:
-                raise ValueError(
-                    f"entry 2l={two_l}: {len(vals)} diagonal values for dimension {dim}"
-                )
-            ent[int(two_l)] = (int(dim), vals)
-        object.__setattr__(self, "entries", ent)
+        if not isinstance(self.entries, _Levels):
+            raise TypeError("table entries must come from ext_fourier_table")
 
     def rows(self) -> list[tuple]:
         """(two_l, dim, weight, value_re, value_im, mode, convention) rows."""
@@ -371,12 +377,12 @@ def schatten_lp_norm(table: CentralCoeffTable, p: float) -> float:
     """Dimension-weighted Schatten sum (sum_pi d_pi sum_m |v_m|^p)^{1/p}.
 
     Valid for the central self-adjoint case where the matrix data is
-    diagonal, so the S^p norm is the p-sum of the diagonal moduli.
+    diagonal, so the S^p norm is the p-sum of the diagonal moduli.  One
+    O(lmax) level sum, as in :func:`condition_q1_sum` (its last value is p = 1).
     """
     if p < 1:
         raise ValueError("Schatten exponent must satisfy p >= 1")
-    total = sum(dim * float(np.sum(np.abs(vals) ** p)) for dim, vals in table.entries.values())
-    return total ** (1.0 / p)
+    return float(table.entries.sums(p)[-1]) ** (1.0 / p)
 
 
 def condition_q1_sum(
@@ -384,33 +390,12 @@ def condition_q1_sum(
 ) -> list[float]:
     """Cumulative sums of d_pi * sum_m |diagonal value| over l <= lmax.
 
-    One partial sum per l in 0, 1/2, 1, ..., lmax (indexed by 2l).  In
-    character mode the d_pi diagonal values all equal c_l, so level 2l
-    adds d_pi^2 |c_l|.
+    One partial sum per l in 0, 1/2, 1, ..., lmax (indexed by 2l): the
+    level sums of :func:`ext_fourier_table`'s data, so the last one is
+    ``schatten_lp_norm(table, 1)`` exactly.  In character mode the d_pi
+    diagonal values all equal c_l, so level 2l adds d_pi^2 |c_l|.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    two_lmax = _two_l(lmax)
-    if mode == "paper":
-        return _paper_q1(_inner(a, denom), two_lmax)
-    d = np.arange(1, two_lmax + 2)
-    return np.cumsum(d * d * np.abs(_character_coeffs(a, two_lmax))).tolist()
-
-
-def _paper_q1(g: CoeffND, two_lmax: int) -> list[float]:
-    """:func:`condition_q1_sum` in paper mode, read from the inner sequence g."""
-    return _partial_sums(np.abs(window_axis(g.values, g.offset, 0, -two_lmax, two_lmax)), two_lmax)
-
-
-def _partial_sums(x: np.ndarray, two_lmax: int) -> list[float]:
-    """Cumulative sums of (2l + 1) sum_m x(mu_m) over 2l <= two_lmax, x on -two_lmax..two_lmax.
-
-    Level 2l adds the pair mu = +-2l to level 2l - 2: one cumsum per parity class."""
-    level = x[two_lmax:].copy()
-    level[1:] += x[:two_lmax][::-1]
-    level[0::2] = np.cumsum(level[0::2])
-    level[1::2] = np.cumsum(level[1::2])
-    return np.cumsum(np.arange(1, two_lmax + 2) * level).tolist()
+    return _levels(a, _two_l(lmax), denom, mode).sums().tolist()
 
 
 @dataclass(frozen=True)
@@ -439,8 +424,8 @@ def q2_diagnostic(
     D(nu) a[mu + nu] (the paper-mode diagonal values), regarded as a
     sequence over the integer weight lattice (its whole support), and
     h is the full discrete Hilbert transform.
-    The plain side is :func:`condition_q1_sum` in the requested mode
-    (paper mode read from the same g).
+    Both sides are the O(lmax) level sum of :func:`condition_q1_sum`: over
+    h g on -2lmax..2lmax, and over the requested mode's table (paper: same g).
     The comparison is reported as data; no constant is adjudicated.
     """
     g = _inner(a, denom)
@@ -448,13 +433,11 @@ def q2_diagnostic(
     parity = parity_check(a)
     if parity != "even":
         warnings.warn(f"q2_diagnostic expects an even sequence, got {parity}", stacklevel=2)
-    hg = np.abs(dht_full(g, (-two_lmax, two_lmax)).values)
+    hg = dht_full(g, (-two_lmax, two_lmax)).values
     return Q2Diagnostic(
         two_l=tuple(range(two_lmax + 1)),
-        hilbert_side=tuple(_partial_sums(hg, two_lmax)),
-        plain_side=tuple(
-            _paper_q1(g, two_lmax) if mode == "paper" else condition_q1_sum(a, lmax, denom, mode)
-        ),
+        hilbert_side=tuple(_Levels(hg, character=False).sums().tolist()),
+        plain_side=tuple(_levels(a, two_lmax, denom, mode, g).sums().tolist()),
         parity=parity,
     )
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from reexpansion import (
-    CentralCoeffTable,
     Coeff1D,
     CoeffND,
     load_sequence,
@@ -344,12 +343,6 @@ def test_bench_is_an_unknown_subcommand(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["bench", "--kind", "full", "--sizes", "64", "--output", str(out)]) == 2
     assert list(tmp_path.iterdir()) == []
-
-
-def test_emit_report_empty_table(tmp_path):
-    out = tmp_path / "empty.csv"
-    emit_report(CentralCoeffTable({}, "paper", "nonnegative"), str(out))
-    assert out.read_text() == "two_l,dim,weight,value_re,value_im,mode,convention\n"
 
 
 def test_emit_report_seventeen_digits(tmp_path):

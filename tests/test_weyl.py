@@ -167,8 +167,10 @@ class TestDimension:
             weyl_dimension((1.5,), SU2)
 
     def test_rejects_vanishing_half_sum(self):
-        with pytest.raises(ValueError):
-            weyl_dimension((0,), RootSystem.make([(2,), (-2,)]))
+        # alpha and -alpha: (delta, alpha) = 0, and D would be (2 - 2 cos 2t)^2, no group's density
+        with pytest.raises(ValueError, match="half-sum 0"):
+            RootSystem.make([(2,), (-2,)])
+        assert RootSystem.make([(1,), (3,), (-2,)]).half_sum == (Fraction(1),)
 
 
 class TestSu2Characters:
@@ -362,9 +364,11 @@ class TestCentralTable:
         assert rows[0] == (0, 1, 0, 1.0, 0.0, "character", "nonnegative")
         assert [r[:3] for r in rows[1:]] == [(1, 2, -1), (1, 2, 1)]
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            CentralCoeffTable({2: (3, np.array([1.0]))}, "paper", "nonnegative")
+    def test_dict_entries_rejected(self):
+        # a table's entries are the levels ext_fourier_table builds, whatever a dict holds
+        for entries in ({}, {2: (3, np.array([1.0]))}, {np.int64(1): (2, [1, 2])}):
+            with pytest.raises(TypeError, match="ext_fourier_table"):
+                CentralCoeffTable(entries, "paper", "nonnegative")
 
 
 def _table_inputs():
@@ -443,13 +447,6 @@ class TestTableViews:
         with pytest.raises(TypeError):
             table.entries[0] = (1, np.zeros(1))
 
-    def test_caller_tables_are_still_validated(self):
-        t = CentralCoeffTable({np.int64(1): (2.0, [1, 2])}, "paper", "nonnegative")
-        dim, vals = t.entries[1]
-        assert type(dim) is int and vals.dtype == np.complex128
-        with pytest.raises(ValueError, match="mode must be one of"):
-            CentralCoeffTable({}, "bogus", "nonnegative")
-
     def test_character_mode_table_is_linear_in_lmax(self):
         # sum_l (2l + 1) copies of c_l would be 50M complex numbers (800 MB) here;
         # the table holds the 10,001 values of c_l and builds a level when read
@@ -502,11 +499,15 @@ class TestCharacterCoeffLookups:
 
 class TestSchatten:
     def test_empty(self):
-        assert schatten_lp_norm(CentralCoeffTable({}, "paper", "nonnegative"), 1) == 0.0
+        for mode in ("paper", "character"):
+            table = ext_fourier_table(Coeff1D(0, np.zeros(0)), 3, DNN, mode)
+            assert schatten_lp_norm(table, 1) == schatten_lp_norm(table, 2) == 0.0
 
     def test_single_entry_p1(self):
-        t = CentralCoeffTable({2: (3, np.array([1.0, -0.5, -0.5]))}, "paper", "nonnegative")
-        assert schatten_lp_norm(t, 1) == 6.0
+        # g = D * e_0 / 2: 1 at mu = 0 and -1/2 at mu = +-2, so level 0 adds 1 * 1, level 1
+        # adds nothing, and level 2 adds 3 * (1/2 + 1 + 1/2); character mode has c_0 = 1 only
+        assert schatten_lp_norm(ext_fourier_table(E0, 1, DNN, "paper"), 1) == 7.0
+        assert schatten_lp_norm(ext_fourier_table(E0, 1, DNN, "character"), 1) == 1.0
 
     def test_character_mode_d_squared(self):
         table = ext_fourier_table(chi_restriction(1), 3, DNN, "character")
@@ -514,12 +515,45 @@ class TestSchatten:
         np.testing.assert_allclose(schatten_lp_norm(table, 1), 3.0, atol=1e-13)
 
     def test_p2(self):
-        t = CentralCoeffTable({0: (1, np.array([2.0]))}, "paper", "nonnegative")
-        assert schatten_lp_norm(t, 2) == 2.0
+        # a = 2 e_0 at l = 0: g(0) = D(0) * 2 / 2 = 2 and c_0 = (2 + 2) / 2 = 2
+        for mode in ("paper", "character"):
+            assert schatten_lp_norm(ext_fourier_table(Coeff1D(0, [2.0]), 0, DNN, mode), 2) == 2.0
+        # the impulse's paper levels: 1 * 1^2 + 3 * (1/4 + 1 + 1/4) = 11/2
+        assert schatten_lp_norm(ext_fourier_table(E0, 1, DNN, "paper"), 2) == 5.5 ** 0.5
 
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
-            schatten_lp_norm(CentralCoeffTable({}, "paper", "nonnegative"), 0.5)
+            schatten_lp_norm(ext_fourier_table(E0, 1, DNN), 0.5)
+
+
+def _loop_schatten(table, p) -> float:
+    """The per-level loop: (sum over levels of dim * sum |vals|^p)^(1/p)."""
+    total = sum(dim * float(np.sum(np.abs(vals) ** p)) for dim, vals in table.entries.values())
+    return total ** (1.0 / p)
+
+
+class TestOneLevelSum:
+    """q1, q2 and the Schatten norm read one O(lmax) level sum."""
+
+    @pytest.mark.parametrize("mode", ["paper", "character"])
+    @pytest.mark.parametrize("lmax", [0, Fraction(1, 2), 7, Fraction(41, 2)], ids=str)
+    @pytest.mark.parametrize("name", ["real", "complex", "empty"])
+    @pytest.mark.parametrize("denom", [DNN, DPS, D_WIDE], ids=["DNN", "DPS", "span-6"])
+    def test_schatten_matches_the_per_level_loop(self, denom, name, lmax, mode):
+        table = ext_fourier_table(_table_inputs()[name], lmax, denom, mode)
+        for p in (1, 2, 3.5):
+            got = schatten_lp_norm(table, p)
+            assert type(got) is float
+            np.testing.assert_allclose(got, _loop_schatten(table, p), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("mode", ["paper", "character"])
+    @pytest.mark.parametrize("name", ["real", "complex", "empty"])
+    @pytest.mark.parametrize("denom", [DNN, DPS, D_WIDE], ids=["DNN", "DPS", "span-6"])
+    def test_q1_is_the_s1_sum(self, denom, name, mode):
+        a = _table_inputs()[name]
+        for lmax in (0, Fraction(1, 2), 7, Fraction(41, 2)):
+            table = ext_fourier_table(a, lmax, denom, mode)
+            assert condition_q1_sum(a, lmax, denom, mode)[-1] == schatten_lp_norm(table, 1)
 
 
 class TestConditionQ1:
@@ -551,6 +585,10 @@ class TestConditionQ1:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode must be one of"):
             condition_q1_sum(E0, 1, DNN, "bogus")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            ext_fourier_table(E0, 1, DNN, "bogus")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            CentralCoeffTable(ext_fourier_table(E0, 1, DNN).entries, "bogus", "nonnegative")
 
 
 class TestQ2Diagnostic:
