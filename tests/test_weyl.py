@@ -364,11 +364,13 @@ class TestCentralTable:
         assert rows[0] == (0, 1, 0, 1.0, 0.0, "character", "nonnegative")
         assert [r[:3] for r in rows[1:]] == [(1, 2, -1), (1, 2, 1)]
 
-    def test_dict_entries_rejected(self):
-        # a table's entries are the levels ext_fourier_table builds, whatever a dict holds
-        for entries in ({}, {2: (3, np.array([1.0]))}, {np.int64(1): (2, [1, 2])}):
-            with pytest.raises(TypeError, match="ext_fourier_table"):
-                CentralCoeffTable(entries, "paper", "nonnegative")
+    def test_length_mismatch_rejected(self):
+        # a dimension that disagrees with its values can only come from a caller's
+        # dict, and a table's entries are the levels ext_fourier_table builds
+        with pytest.raises(TypeError, match="ext_fourier_table"):
+            CentralCoeffTable({2: (3, np.array([1.0]))}, "paper", "nonnegative")
+        for dim, vals in ext_fourier_table(E0, 3, DNN, "paper").entries.values():
+            assert dim == len(vals)
 
 
 def _table_inputs():
@@ -446,6 +448,13 @@ class TestTableViews:
             diag_fourier_coeff(a, 2, DNN, mode)[0] = 1.0
         with pytest.raises(TypeError):
             table.entries[0] = (1, np.zeros(1))
+
+    def test_caller_tables_are_still_validated(self):
+        for entries in ({np.int64(1): (2.0, [1, 2])}, {}):
+            with pytest.raises(TypeError, match="ext_fourier_table"):
+                CentralCoeffTable(entries, "paper", "nonnegative")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            CentralCoeffTable({}, "bogus", "nonnegative")
 
     def test_character_mode_table_is_linear_in_lmax(self):
         # sum_l (2l + 1) copies of c_l would be 50M complex numbers (800 MB) here;
