@@ -22,7 +22,7 @@ WINDOWS = (64, 128, 256, 512, 1024, 2048)
 def show(report):
     print(f"  kind = {report.kind}")
     print("  window    truncated l1 norm    increment")
-    for w, norm, inc in report.rows():
+    for w, norm, inc in zip(report.windows, report.norms, report.increments):
         print(f"  {w:6d}    {norm:17.12f}    {inc:12.3e}")
     ms, msa = report.moment_sum, report.moment_sum_alternating
     print(f"  moment sums: sum a_k = {ms.real:+.3e}, sum (-1)^k a_k = {msa.real:+.3e}")

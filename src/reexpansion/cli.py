@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import re
 import sys
@@ -143,7 +142,7 @@ def _writing(path: str):
     """Turn an OSError while writing ``path`` into one RuntimeError naming
     ``path`` (not the temp file the atomic writer uses).  A result the
     writer refuses as non-finite is a computation error too, and so is
-    a number :func:`_fmt` refuses."""
+    a number :func:`_floats` refuses."""
     try:
         yield
     except OSError as exc:
@@ -169,37 +168,50 @@ def _save(a, path: str) -> None:
         save_sequence(a, path)
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits; FloatingPointError for a NaN or infinity."""
-    if not math.isfinite(x):
+def _floats(x, nan: bool = False) -> list[str]:
+    """Each value at 17 significant digits, after one check of the whole column:
+    a FloatingPointError for an infinity, or for a NaN unless ``nan``."""
+    x = np.asarray(x, dtype=float)
+    if not (np.isfinite(x) | (nan & np.isnan(x))).all():
         raise FloatingPointError("values must be finite, found NaN or infinity")
-    return f"{x:.17g}"
+    return list(map("%.17g".__mod__, x.tolist()))
+
+
+def _table_levels(table: _weyl.CentralCoeffTable):
+    """The table's CSV lines level by level, joined from its distinct values
+    (g on -2lmax..2lmax, or one c_l per level) formatted once."""
+    levels, tail = table.entries, f",{table.mode},{table.convention}"
+    data, top = levels.data, len(levels) - 1
+    values = np.array([*map(",".join, zip(_floats(data.real), _floats(data.imag)))], dtype=object)
+    weights = [*map(str, range(-top, top + 1))]
+    for two_l in levels:
+        head, mus = f"{two_l},{two_l + 1},", weights[top - two_l : top + two_l + 1 : 2]
+        rows = map(",".join, zip(mus, values[levels.at(two_l)]))  # mus: -2l, -2l + 2, ..., 2l
+        yield head + f"{tail}\n{head}".join(rows) + tail
+
+
+# each report kind's CSV header and its columns as text (the table's: one cell per level)
+_REPORTS = {
+    _reexpand.SummabilityReport: ("window,norm,increment", lambda r: (
+        map(str, r.windows), _floats(r.norms), _floats(r.increments))),
+    _weyl.Q2Diagnostic: ("two_l,hilbert_side,plain_side,ratio", lambda r: (map(str, r.two_l),
+        _floats(r.hilbert_side), _floats(r.plain_side), _floats(r.ratio, nan=True))),  # h/0 is nan
+    list: ("two_l,partial_sum", lambda r: (map(str, range(len(r))), _floats(r))),  # q1 sums
+    _weyl.CentralCoeffTable: ("two_l,dim,weight,value_re,value_im,mode,convention",
+                              lambda t: (_table_levels(t),)),
+}
 
 
 def emit_report(data, path: str) -> None:
     """Write a report as CSV with a fixed header per data kind.  A NaN or
     infinity, but for the q2 ratio over a zero plain side, is refused with
     a RuntimeError naming ``path``, and nothing is written."""
+    if type(data) not in _REPORTS:
+        raise TypeError(f"no CSV writer for {type(data).__name__}")
+    header, columns = _REPORTS[type(data)]
     with _writing(path), atomic_open(path) as fh:
-        if isinstance(data, _reexpand.SummabilityReport):
-            lines = ["window,norm,increment"]
-            for w, n, i in data.rows():
-                lines.append(f"{w},{_fmt(n)},{_fmt(i)}")
-        elif isinstance(data, _weyl.CentralCoeffTable):
-            lines = ["two_l,dim,weight,value_re,value_im,mode,convention"]
-            for two_l, dim, mu, re, im, mode, conv in data.rows():
-                lines.append(f"{two_l},{dim},{mu},{_fmt(re)},{_fmt(im)},{mode},{conv}")
-        elif isinstance(data, _weyl.Q2Diagnostic):
-            lines = ["two_l,hilbert_side,plain_side,ratio"]
-            for tl, h, pl, rat in zip(data.two_l, data.hilbert_side, data.plain_side, data.ratio):
-                lines.append(f"{tl},{_fmt(h)},{_fmt(pl)},{_fmt(rat) if pl > 0 else 'nan'}")
-        elif isinstance(data, list):  # partial sums
-            lines = ["two_l,partial_sum"]
-            for two_l, v in enumerate(data):
-                lines.append(f"{two_l},{_fmt(v)}")
-        else:
-            raise TypeError(f"no CSV writer for {type(data).__name__}")
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns(data)))
 
 
 def _require_1d(a: CoeffND, what: str) -> CoeffND:
@@ -290,15 +302,14 @@ def _run_su2(opt) -> str:
     if op == "sufficiency":
         value = _weyl.su2_sufficiency(a)
         with _writing("standard output"):
-            _say(_fmt(value))
+            _say(*_floats([value]))
         return "op=sufficiency"
     if op == "character":
         if opt["level"] is None:
             raise UsageError("--l is required for --op character")
-        l = _parse_half_integer(opt["level"], "--l")
-        value = _weyl.character_coeff(a, l)
+        value = _weyl.character_coeff(a, _parse_half_integer(opt["level"], "--l"))
         with _writing("standard output"):
-            _say(f"{_fmt(value.real)} {_fmt(value.imag)}")
+            _say(" ".join(_floats([value.real, value.imag])))
         return f"op=character l={opt['level']}"
     lmax = _parse_half_integer(opt["lmax"], "--lmax")
     if opt["output"] is None:

@@ -392,10 +392,6 @@ class SummabilityReport:
     tail_hint: float
     verdict_hint: str
 
-    def rows(self):
-        """(window, norm, increment) rows for tabular output."""
-        return list(zip(self.windows, self.norms, self.increments))
-
 
 def summability_report(
     a: CoeffND,

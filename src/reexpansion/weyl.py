@@ -224,27 +224,31 @@ def _character_coeffs(a: CoeffND, two_lmax: int) -> np.ndarray:
 
 class _Levels(Mapping):
     """Read-only diagonal data for 2l = 0..top from one array: level 2l is
-    (2l + 1, diagonal).  In paper mode ``data`` is g on -top..top and the
+    (2l + 1, data[at(2l)]).  In paper mode ``data`` is g on -top..top and the
     diagonal its view at the weights of l; in character mode ``data[2l]``
     is c_l, repeated over the diagonal when the level is read."""
 
     def __init__(self, data: np.ndarray, character: bool):
         data.flags.writeable = False
-        self._data, self._character = data, character
+        self.data, self._character = data, character
         self._top = len(data) - 1 if character else (len(data) - 1) // 2
 
     def __contains__(self, two_l) -> bool:
         return isinstance(two_l, (int, np.integer)) and 0 <= two_l <= self._top
 
+    def at(self, two_l: int):
+        """Where level 2l's diagonal sits in ``data``: the strided slice at the
+        weights of l (paper), or index 2l once per weight (character)."""
+        if self._character:
+            return np.full(two_l + 1, two_l)
+        return slice(self._top - two_l, self._top + two_l + 1, 2)
+
     def __getitem__(self, two_l) -> tuple[int, np.ndarray]:
         if two_l not in self:
             raise KeyError(two_l)
-        two_l, top = int(two_l), self._top
-        if not self._character:
-            return two_l + 1, self._data[top - two_l : top + two_l + 1 : 2]
-        vals = np.full(two_l + 1, self._data[two_l])
-        vals.flags.writeable = False
-        return two_l + 1, vals
+        vals = self.data[self.at(int(two_l))]
+        vals.flags.writeable = False  # a paper view already is; a character level is a copy
+        return int(two_l) + 1, vals
 
     def __len__(self) -> int:
         return self._top + 1
@@ -255,7 +259,7 @@ class _Levels(Mapping):
     def sums(self, p: float = 1) -> np.ndarray:
         """Running totals of (2l + 1) sum_m |v_m|^p over the levels: a character level
         adds d^2 |c_l|^p, and paper level 2l adds mu = +-2l to level 2l - 2 (parity class)."""
-        x, top = np.abs(self._data), self._top
+        x, top = np.abs(self.data), self._top
         if p != 1:
             x **= p
         d = np.arange(1, top + 2)
@@ -350,17 +354,6 @@ class CentralCoeffTable:
         if not isinstance(self.entries, _Levels):
             raise TypeError("table entries must come from ext_fourier_table")
 
-    def rows(self) -> list[tuple]:
-        """(two_l, dim, weight, value_re, value_im, mode, convention) rows."""
-        out = []
-        for two_l in sorted(self.entries):
-            dim, vals = self.entries[two_l]
-            for mu, v in zip(range(-two_l, two_l + 1, 2), vals):
-                out.append(
-                    (two_l, dim, mu, float(v.real), float(v.imag), self.mode, self.convention)
-                )
-        return out
-
 
 def ext_fourier_table(
     a: CoeffND, lmax, denom: WeylDenomSq, mode: str = "paper"
@@ -409,10 +402,8 @@ class Q2Diagnostic:
 
     @property
     def ratio(self) -> tuple[float, ...]:
-        return tuple(
-            h / p if p > 0 else float("nan")
-            for h, p in zip(self.hilbert_side, self.plain_side)
-        )
+        pairs = zip(self.hilbert_side, self.plain_side)
+        return tuple(h / p if p > 0 else float("nan") for h, p in pairs)
 
 
 def q2_diagnostic(
@@ -430,6 +421,7 @@ def q2_diagnostic(
     """
     g = _inner(a, denom)
     two_lmax = _two_l(lmax)
+    plain = _levels(a, two_lmax, denom, mode, g)  # a bad mode raises before the transform
     parity = parity_check(a)
     if parity != "even":
         warnings.warn(f"q2_diagnostic expects an even sequence, got {parity}", stacklevel=2)
@@ -437,7 +429,7 @@ def q2_diagnostic(
     return Q2Diagnostic(
         two_l=tuple(range(two_lmax + 1)),
         hilbert_side=tuple(_Levels(hg, character=False).sums().tolist()),
-        plain_side=tuple(_levels(a, two_lmax, denom, mode, g).sums().tolist()),
+        plain_side=tuple(plain.sums().tolist()),
         parity=parity,
     )
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from reexpansion import (
     save_sequence,
     summability_report,
 )
-from reexpansion import cli
+from reexpansion import cli, weyl
 from reexpansion.cli import CliInvocation, UsageError, emit_report, main, parse_args, run
 
 
@@ -351,6 +352,85 @@ def test_emit_report_seventeen_digits(tmp_path):
     emit_report(rep, str(out))
     field = out.read_text().splitlines()[1].split(",")[1]
     assert len(field.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+def _writer_inputs():
+    rng = np.random.default_rng(41)
+    return {
+        "real": Coeff1D(-13, rng.standard_normal(30)),
+        "complex": Coeff1D(-60, rng.standard_normal(121) + 1j * rng.standard_normal(121)),
+        "empty": Coeff1D(4, np.zeros(0)),
+    }
+
+
+def _per_row_csv(data) -> str:
+    """The CSV as the per-row writer put it: one f-string per row, per report kind."""
+    if isinstance(data, weyl.CentralCoeffTable):
+        lines = ["two_l,dim,weight,value_re,value_im,mode,convention"]
+        for two_l, (dim, vals) in data.entries.items():
+            for mu, v in zip(range(-two_l, two_l + 1, 2), vals):
+                re, im, mode, conv = float(v.real), float(v.imag), data.mode, data.convention
+                lines.append(f"{two_l},{dim},{mu},{re:.17g},{im:.17g},{mode},{conv}")
+    elif isinstance(data, weyl.Q2Diagnostic):
+        lines = ["two_l,hilbert_side,plain_side,ratio"]
+        for tl, h, pl, rat in zip(data.two_l, data.hilbert_side, data.plain_side, data.ratio):
+            lines.append(f"{tl},{h:.17g},{pl:.17g},{f'{rat:.17g}' if pl > 0 else 'nan'}")
+    elif isinstance(data, list):
+        lines = ["two_l,partial_sum"] + [f"{two_l},{v:.17g}" for two_l, v in enumerate(data)]
+    else:
+        lines = ["window,norm,increment"]
+        for w, n, i in zip(data.windows, data.norms, data.increments):
+            lines.append(f"{w},{n:.17g},{i:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["real", "complex", "empty"])
+@pytest.mark.parametrize("lmax", [0, Fraction(1, 2), 7, Fraction(41, 2)], ids=str)
+@pytest.mark.parametrize("convention", weyl.CONVENTIONS)
+@pytest.mark.parametrize("mode", weyl.MODES)
+def test_emit_report_table_matches_the_per_row_writer(tmp_path, mode, convention, lmax, name):
+    denom = weyl.weyl_denom_sq_coeffs(weyl.RootSystem.su2(), convention)
+    table = weyl.ext_fourier_table(_writer_inputs()[name], lmax, denom, mode)
+    emit_report(table, str(tmp_path / "t.csv"))
+    assert (tmp_path / "t.csv").read_bytes() == _per_row_csv(table).encode()
+
+
+def test_emit_report_sums_match_the_per_row_writer(tmp_path):
+    denom = weyl.weyl_denom_sq_coeffs(weyl.RootSystem.su2())
+    v = np.random.default_rng(43).standard_normal(31)
+    even = Coeff1D(-15, v + v[::-1])
+    reports = [
+        weyl.condition_q1_sum(even, Fraction(41, 2), denom, "paper"),
+        weyl.condition_q1_sum(even, 7, denom, "character"),
+        weyl.q2_diagnostic(even, Fraction(41, 2), denom),
+        weyl.q2_diagnostic(Coeff1D(0, [0.0]), 3, denom),  # a zero plain side: ratio nan
+        summability_report(Coeff1D.impulse(1), "even_halved", (16, 32, 64)),
+        summability_report(_writer_inputs()["complex"], "full", (64, 128, 1024)),
+    ]
+    assert reports[3].plain_side == (0.0,) * 7
+    for k, data in enumerate(reports):
+        out = tmp_path / f"r{k}.csv"
+        emit_report(data, str(out))
+        assert out.read_bytes() == _per_row_csv(data).encode(), k
+
+
+@pytest.mark.parametrize("mode", weyl.MODES)
+def test_emit_report_table_memory_does_not_grow_with_the_rows(tmp_path, mode):
+    # the lmax 100 table has 20,301 rows (about 1.2 MB of CSV); the writer holds
+    # the 401 (paper) or 201 (character) distinct values and one level at a time
+    import tracemalloc
+
+    denom = weyl.weyl_denom_sq_coeffs(weyl.RootSystem.su2())
+    table = weyl.ext_fourier_table(_writer_inputs()["complex"], 100, denom, mode)
+    emit_report(weyl.ext_fourier_table(Coeff1D.impulse(0), 1, denom, mode), str(tmp_path / "w.csv"))
+    tracemalloc.start()
+    try:
+        emit_report(table, str(tmp_path / "t.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 101 * 201
 
 
 def test_determinism_byte_identical(tmp_path, impulse_file):

@@ -510,8 +510,8 @@ class TestSummabilityReport:
         a = Coeff1D(1, rng.standard_normal(10))
         rep = summability_report(a, "full", (16, 32, 64))
         assert list(rep.norms) == sorted(rep.norms)
-        rows = rep.rows()
-        assert rows[0][0] == 16 and len(rows) == 3
+        assert rep.windows == (16, 32, 64)
+        assert len(rep.norms) == len(rep.increments) == 3
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,8 @@ from reexpansion import (
     weyl_denom_sq_coeffs,
     weyl_dimension,
 )
+from reexpansion import weyl
+from reexpansion.cli import emit_report
 from reexpansion.weyl import _two_l
 
 SU2 = RootSystem.su2()
@@ -358,11 +360,15 @@ class TestCentralTable:
         for _, vals in table.entries.values():
             assert np.all(vals == 0)
 
-    def test_rows_format(self):
+    def test_rows_format(self, tmp_path):
         table = ext_fourier_table(E0, Fraction(1, 2), DNN, "character")
-        rows = table.rows()
-        assert rows[0] == (0, 1, 0, 1.0, 0.0, "character", "nonnegative")
-        assert [r[:3] for r in rows[1:]] == [(1, 2, -1), (1, 2, 1)]
+        emit_report(table, str(tmp_path / "t.csv"))
+        assert (tmp_path / "t.csv").read_text().splitlines() == [
+            "two_l,dim,weight,value_re,value_im,mode,convention",
+            "0,1,0,1,0,character,nonnegative",
+            "1,2,-1,0,0,character,nonnegative",
+            "1,2,1,0,0,character,nonnegative",
+        ]
 
     def test_length_mismatch_rejected(self):
         # a dimension that disagrees with its values can only come from a caller's
@@ -424,7 +430,7 @@ class TestTableViews:
             assert vals.tobytes() == want.tobytes()
             alone = diag_fourier_coeff(a, Fraction(two_l, 2), denom, mode)
             assert alone.tobytes() == want.tobytes()
-        assert len(table.rows()) == sum(t + 1 for t in range(top + 1))
+        assert sum(dim for dim, _ in table.entries.values()) == sum(t + 1 for t in range(top + 1))
 
     @pytest.mark.parametrize("mode", ["paper", "character"])
     def test_keys_outside_the_levels_raise(self, mode):
@@ -671,6 +677,18 @@ class TestQ2Diagnostic:
     def test_warns_on_non_even_input(self):
         with pytest.warns(UserWarning):
             q2_diagnostic(Coeff1D.impulse(1), 2, DNN)
+
+    def test_unknown_mode_rejected_before_the_work(self, monkeypatch):
+        # a bad mode is one ValueError: no parity warning, no Hilbert transform
+        def transform(*args):
+            raise AssertionError("q2_diagnostic transformed before checking its mode")
+
+        monkeypatch.setattr(weyl, "dht_full", transform)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="mode must be one of"):
+                q2_diagnostic(Coeff1D.impulse(1), 2, DNN, "bogus")
+        assert caught == []
 
 
 class TestSufficiencySum:
