@@ -27,11 +27,8 @@ other kinds are the products
 
 with the self-terms +-a_n/(2n) added apart.  A product has no
 subtraction, so each entry is correct to a few roundings even for
-support far above the window.  For one sequence (one real row, or two
-for complex input) einsum contracts the views without forming the
-matrix, in O(window + support) memory; larger batches, as in the n-D
-transforms, form it in chunks of at most ``_NAIVE_CHUNK_ELEMS`` entries
-and multiply all rows at once.
+support far above the window (how the views are contracted: see
+:func:`_naive`).
 
 The ``fast`` evaluator writes every kernel through the reciprocal-lag
 sum R a(n) = sum_{k != n} a_k/(n-k) of the support and of its
@@ -51,6 +48,7 @@ Transforms of finitely supported sequences generally have infinite
 support, so the caller always supplies an explicit inclusive output
 window.  The one-dimensional entry points take and return a 1-D
 ``CoeffND`` (as built by ``Coeff1D``); the n-D ones take any block.
+Every public entry point refuses a NaN or infinite coefficient.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sequences import CoeffND, ParityVector, window_axis
+from .sequences import CoeffND, ParityVector, _require_finite, window_axis
 
 __all__ = [
     "KINDS",
@@ -317,37 +315,32 @@ def _run_1d(a: CoeffND, kind: str, lo: int, hi: int, algorithm: str) -> CoeffND:
 
 def dht_full(a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast") -> CoeffND:
     """Full discrete Hilbert transform over an inclusive output window."""
-    return _run_1d(a, "full", out_range[0], out_range[1], algorithm)
+    return _run_1d(_require_finite(a), "full", out_range[0], out_range[1], algorithm)
 
 
 def dht_even(a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast") -> CoeffND:
     """Even-sequence kernel; output indices must satisfy n >= 1."""
-    return _run_1d(a, "even", out_range[0], out_range[1], algorithm)
+    return _run_1d(_require_finite(a), "even", out_range[0], out_range[1], algorithm)
 
 
 def dht_odd(a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast") -> CoeffND:
     """Odd-sequence kernel; output indices must satisfy n >= 0."""
-    return _run_1d(a, "odd", out_range[0], out_range[1], algorithm)
+    return _run_1d(_require_finite(a), "odd", out_range[0], out_range[1], algorithm)
 
 
-def dht_even_halved(
-    a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast"
-) -> CoeffND:
+def dht_even_halved(a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast") -> CoeffND:
     """Parity-restricted (k - n odd) even kernel, without the 2/pi prefactor."""
-    return _run_1d(a, "even_halved", out_range[0], out_range[1], algorithm)
+    return _run_1d(_require_finite(a), "even_halved", out_range[0], out_range[1], algorithm)
 
 
-def dht_odd_halved(
-    a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast"
-) -> CoeffND:
+def dht_odd_halved(a: CoeffND, out_range: tuple[int, int], algorithm: str = "fast") -> CoeffND:
     """Parity-restricted (k - n odd) odd kernel, without the 2/pi prefactor."""
-    return _run_1d(a, "odd_halved", out_range[0], out_range[1], algorithm)
+    return _run_1d(_require_finite(a), "odd_halved", out_range[0], out_range[1], algorithm)
 
 
 def transform(a: CoeffND, request: TransformRequest) -> CoeffND:
     """Dispatch a TransformRequest to the matching kernel."""
-    lo, hi = request.output_range
-    return _run_1d(a, request.kind, lo, hi, request.algorithm)
+    return _run_1d(_require_finite(a), request.kind, *request.output_range, request.algorithm)
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +373,7 @@ def _mixed_naive(nd: CoeffND, kinds, box) -> CoeffND:
     return CoeffND(tuple(lo for lo, _ in box), out)
 
 
-def dht_mixed(
-    a: CoeffND,
-    eta: ParityVector,
-    box,
-    algorithm: str = "fast",
-) -> CoeffND:
+def dht_mixed(a: CoeffND, eta: ParityVector, box, algorithm: str = "fast") -> CoeffND:
     """Mixed halved transform: even-halved along axes with eta_j = 1,
     odd-halved along axes with eta_j = 0, with the joint parity
     restriction (all k_j - m_j odd).
@@ -394,7 +382,7 @@ def dht_mixed(
     axes with eta_j = 1 require lo >= 1, axes with eta_j = 0 require
     lo >= 0.
     """
-    return _mixed(a, eta, box, algorithm, (1,) * a.ndim)
+    return _mixed(_require_finite(a), eta, box, algorithm, (1,) * a.ndim)
 
 
 def _mixed(a: CoeffND, eta: ParityVector, box, algorithm: str, floors) -> CoeffND:
@@ -410,11 +398,7 @@ def _mixed(a: CoeffND, eta: ParityVector, box, algorithm: str, floors) -> CoeffN
 
 
 def dht_tensor(
-    a: CoeffND,
-    chi: ParityVector,
-    zeta: ParityVector,
-    box,
-    algorithm: str = "fast",
+    a: CoeffND, chi: ParityVector, zeta: ParityVector, box, algorithm: str = "fast"
 ) -> CoeffND:
     """Tensor composition of full (unhalved) kernels: the even kernel
     along axes with chi_j = 1, the odd kernel along axes with
@@ -428,5 +412,5 @@ def dht_tensor(
     if any(c == 1 and z == 1 for c, z in zip(chi.bits, zeta.bits)):
         raise ValueError("chi and zeta overlap: an axis cannot take both kernels")
     kinds = tuple("even" if c else "odd" if z else None for c, z in zip(chi.bits, zeta.bits))
-    return _sweep(a, kinds, box, algorithm, tuple(0 if k is None else 1 for k in kinds))
+    return _sweep(_require_finite(a), kinds, box, algorithm, tuple(0 if k is None else 1 for k in kinds))
 

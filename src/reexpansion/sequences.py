@@ -24,12 +24,16 @@ import json
 import math
 import os
 import re
+import shutil
+import sys
 import tempfile
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from . import pairtext
 
 __all__ = [
     "Coeff1D",
@@ -529,10 +533,11 @@ def boundary_vanish_check(
 # [[re, im], ...]} with values flattened in row-major order; 1-D
 # sequences use dims of length 1.  The bytes equal json.dumps(doc) plus
 # a newline.  Loading accepts any JSON layout of the document and parses
-# the saved one without per-pair lists.  Saving rejects non-finite
-# values; loading rejects non-finite or non-numeric ones.
+# the saved one without per-pair lists.  From _TWO_PROCESSES pairs on, a
+# child running pairtext.py does the second half of the values; if it
+# fails, this process does them all, so the bytes and the rules hold.
 
-_CHUNK = 1 << 16  # value pairs per formatted chunk when saving
+_TWO_PROCESSES = 2 * pairtext.CHUNK  # value pairs; the measured break-even is near CHUNK
 _SAVED_LAYOUT = re.compile(  # values from "[[" to "]]", or "[]"
     r'\{"dims": (\[[^\]]*\]), "offsets": (\[[^\]]*\]), "values": (\[(?:\[.*\])?\])\}[ \t\n\r]*\Z', re.S)
 _NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+-")
@@ -553,23 +558,59 @@ def atomic_open(path: str):
         raise
 
 
+@contextlib.contextmanager
+def _child(mode: str, data, tmpdir: str | None = None):
+    """Runs ``pairtext.py mode`` on ``data`` (unless empty) in a child, through
+    two anonymous temp files.  Yields a function that waits for it and returns
+    its output file, or None if it could not start or failed."""
+    with contextlib.ExitStack() as stack:
+        proc = None
+        try:
+            if len(data):
+                import subprocess  # here, so that importing the library does not pay for it
+                src = stack.enter_context(tempfile.TemporaryFile(dir=tmpdir))
+                out = stack.enter_context(tempfile.TemporaryFile(dir=tmpdir))
+                src.write(data)
+                src.seek(0)
+                proc = stack.enter_context(subprocess.Popen(
+                    [sys.executable, "-I", "-S", pairtext.__file__, mode],
+                    stdin=src, stdout=out, stderr=subprocess.DEVNULL))
+                stack.callback(proc.kill)  # before Popen's wait; a no-op once waited for
+        except OSError:  # no temp space or no interpreter
+            pass
+
+        def output():
+            if proc is None or proc.wait():
+                return None
+            out.seek(0)
+            return out
+
+        yield output
+
+
 def save_sequence(a: CoeffND, path: str) -> None:
     """Write a sequence to ``path`` in the JSON interchange format.
 
     The write is atomic (temp file, then rename) and encodes values a
-    chunk at a time, so memory does not grow with the sequence length.
-    Raises ValueError naming ``path``, before writing, if a value is not
-    finite, since ``load_sequence`` refuses such files.
+    chunk at a time, so memory does not grow with the sequence length; a
+    child process encodes a large sequence's second half into a temp file
+    beside ``path``.  Raises ValueError naming ``path``, before writing, if
+    a value is not finite, since ``load_sequence`` refuses such files.
     """
     pairs = np.ascontiguousarray(a.values).view(np.float64).reshape(-1, 2)
     if not np.isfinite(pairs).all():
         raise ValueError(f"{path}: values must be finite, found NaN or infinity")
     head = json.dumps({"dims": list(a.dims), "offsets": list(a.offsets), "values": []})
-    with atomic_open(path) as fh:
+    cut = len(pairs) // 2 if len(pairs) >= _TWO_PROCESSES else len(pairs)
+    tmpdir = os.path.dirname(os.path.abspath(path))
+    with atomic_open(path) as fh, _child("save", pairs[cut:], tmpdir) as theirs:
         fh.write(head[:-2])  # up to and including the values' "["
-        for i in range(0, len(pairs), _CHUNK):
-            flat = pairs[i : i + _CHUNK].reshape(-1).tolist()  # %r formats as json.dumps does
-            fh.write((", " if i else "") + ", ".join(["[%r, %r]"] * (len(flat) // 2)) % tuple(flat))
+        pairtext.write_pairs(fh.write, pairs[:cut].reshape(-1))
+        if (rest := theirs()) is None:
+            pairtext.write_pairs(fh.write, pairs[cut:].reshape(-1), ", ")
+        else:  # the child's text begins with its ", "
+            fh.flush()
+            shutil.copyfileobj(rest, fh.buffer)
         fh.write("]}\n")
 
 
@@ -577,24 +618,32 @@ def _saved_layout(text: str):
     """dims, offsets, pair count and (count, 2) values of a text in the layout
     ``save_sequence`` writes; ValueError for any other.  Deleting the number
     characters must leave exactly that layout's brackets and separators, so
-    deleting the brackets joins no two tokens, and JSON judges each one."""
+    deleting the brackets joins no two tokens, and JSON judges each one.
+    A child parses the pairs after a "], [" near the middle of a large text."""
     match = _SAVED_LAYOUT.match(text)
     values = match[3] if match else ""  # fails the check below
     n = values.count("], [") + (values != "[]")  # the pair count, if the layout holds
-    skeleton = "[" + ", ".join(["[, ]"] * n) + "]"
-    head = values[:256].translate(_NUMBER_CHARS)  # another spacing mostly shows here
-    if not (match and skeleton.startswith(head) and values.translate(_NUMBER_CHARS) == skeleton):
-        raise ValueError("not the saved layout")
-    flat = json.loads("[%s]" % values.translate(str.maketrans("", "", "[]")))
-    return json.loads(match[1]), json.loads(match[2]), n, np.asarray(flat).reshape(-1, 2)
+    cut = values.find("], [", len(values) // 2) if n >= _TWO_PROCESSES else -1
+    flat = None
+    with _child("load", values[cut + 3 :].encode() if cut > 0 else b"") as theirs:
+        skeleton = "[" + ", ".join(["[, ]"] * n) + "]"
+        if not (match and values.translate(_NUMBER_CHARS) == skeleton):
+            raise ValueError("not the saved layout")
+        with contextlib.suppress(ValueError):  # a token that is not a JSON float
+            mine = np.asarray(pairtext.parse_floats(values[: cut + 1]))  # "" without a child
+            if (rest := theirs()) is not None:
+                flat = np.concatenate([mine, np.frombuffer(rest.read())])
+    if flat is None:
+        flat = np.asarray(json.loads("[%s]" % values.translate(str.maketrans("", "", "[]"))))
+    return json.loads(match[1]), json.loads(match[2]), n, flat.reshape(-1, 2)
 
 
 def load_sequence(path: str) -> CoeffND:
     """Read a sequence file as a :class:`CoeffND` with one axis per entry of dims.
 
-    Raises ValueError naming ``path`` if the file is not JSON, is not a
-    sequence document (dims and offsets are JSON integers), or holds
-    non-numeric or non-finite values.
+    A child process parses a large saved file's second half.  Raises
+    ValueError naming ``path`` if the file is not JSON, is not a sequence document
+    (dims and offsets are JSON integers), or holds non-numeric or non-finite values.
     """
     with open(path) as fh:
         try:

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hilbert import dht_full
+from .hilbert import _run_1d
 from .sequences import (
     Coeff1D, CoeffND, _node_chunks, _panels, _phase_rows, _refined, _require_finite,
     gauss_legendre_grid, window_axis,
@@ -355,9 +355,7 @@ class CentralCoeffTable:
             raise TypeError("table entries must come from ext_fourier_table")
 
 
-def ext_fourier_table(
-    a: CoeffND, lmax, denom: WeylDenomSq, mode: str = "paper"
-) -> CentralCoeffTable:
+def ext_fourier_table(a: CoeffND, lmax, denom: WeylDenomSq, mode: str = "paper") -> CentralCoeffTable:
     """Diagonal Fourier data for all highest weights up to lmax.
 
     The entries are read-only views over one array of O(lmax) numbers:
@@ -378,9 +376,7 @@ def schatten_lp_norm(table: CentralCoeffTable, p: float) -> float:
     return float(table.entries.sums(p)[-1]) ** (1.0 / p)
 
 
-def condition_q1_sum(
-    a: CoeffND, lmax, denom: WeylDenomSq, mode: str = "paper"
-) -> list[float]:
+def condition_q1_sum(a: CoeffND, lmax, denom: WeylDenomSq, mode: str = "paper") -> list[float]:
     """Cumulative sums of d_pi * sum_m |diagonal value| over l <= lmax.
 
     One partial sum per l in 0, 1/2, 1, ..., lmax (indexed by 2l): the
@@ -406,9 +402,7 @@ class Q2Diagnostic:
         return tuple(h / p if p > 0 else float("nan") for h, p in pairs)
 
 
-def q2_diagnostic(
-    a: CoeffND, lmax, denom: WeylDenomSq, mode: str = "paper"
-) -> Q2Diagnostic:
+def q2_diagnostic(a: CoeffND, lmax, denom: WeylDenomSq, mode: str = "paper") -> Q2Diagnostic:
     """Partial sums of d_pi sum_m |h g(mu_m)| against d_pi sum_m |g(mu_m)|.
 
     g is the weight-indexed inner sequence g(mu) = (1/|W|) sum_nu
@@ -425,7 +419,7 @@ def q2_diagnostic(
     parity = parity_check(a)
     if parity != "even":
         warnings.warn(f"q2_diagnostic expects an even sequence, got {parity}", stacklevel=2)
-    hg = dht_full(g, (-two_lmax, two_lmax)).values
+    hg = _run_1d(g, "full", -two_lmax, two_lmax, "fast").values  # an overflowed g is no input error
     return Q2Diagnostic(
         two_l=tuple(range(two_lmax + 1)),
         hilbert_side=tuple(_Levels(hg, character=False).sums().tolist()),

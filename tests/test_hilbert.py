@@ -19,6 +19,7 @@ from reexpansion import (
     CoeffND,
     ParityVector,
     TransformRequest,
+    cos_to_sin,
     dht_even,
     dht_even_halved,
     dht_full,
@@ -27,6 +28,7 @@ from reexpansion import (
     dht_odd_halved,
     dht_tensor,
     l1_norm,
+    sin_to_cos,
     transform,
 )
 
@@ -544,6 +546,26 @@ class TestOneSupportRule:
     def test_zero_input_still_checks_the_algorithm(self, call):
         with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
             call(CoeffND((1, 1), np.zeros((3, 3))))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+@pytest.mark.parametrize("call", [
+    lambda a: dht_full(a, (-3, 3)),
+    lambda a: dht_even(a, (1, 4)),
+    lambda a: dht_odd(a, (0, 4), "naive"),
+    lambda a: dht_even_halved(a, (1, 4)),
+    lambda a: dht_odd_halved(a, (0, 4)),
+    lambda a: dht_mixed(a, ParityVector((1,)), [(1, 4)]),
+    lambda a: dht_tensor(a, ParityVector((0,)), ParityVector((1,)), [(0, 4)]),
+    lambda a: transform(a, TransformRequest("full", (-3, 3))),
+    lambda a: cos_to_sin(a, (1, 4)),
+    lambda a: sin_to_cos(a, (0, 4), "naive"),
+], ids=["full", "even", "odd-naive", "even_halved", "odd_halved", "mixed", "tensor",
+        "transform", "cos_to_sin", "sin_to_cos-naive"])
+def test_every_entry_point_rejects_non_finite_coefficients(call, bad):
+    # a NaN or infinity would otherwise come back as NaN at some or all outputs
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        call(Coeff1D(1, [1.0, bad, 2.0]))
 
 
 def _kernel_row(kind: str, n: int, k: np.ndarray) -> np.ndarray:

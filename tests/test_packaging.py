@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,25 @@ def test_library_stays_within_its_line_budget():
         len(path.read_text().splitlines()) for path in (ROOT / "src" / "reexpansion").glob("*.py")
     )
     assert total <= 2531, f"src/reexpansion/*.py is {total} lines, over the 2,531 budget"
+
+
+@pytest.mark.parametrize("mode, given, expected", [
+    ("save", array("d", [0.5, -0.0, 1e16, 5e-324]).tobytes(), b", [0.5, -0.0], [1e+16, 5e-324]"),
+    ("load", b"[0.5, -0.0], [1e+16, 5e-324]", array("d", [0.5, -0.0, 1e16, 5e-324]).tobytes()),
+])
+def test_pair_text_helper_runs_on_the_standard_library_alone(tmp_path, mode, given, expected):
+    # sequences runs this file in a child as `python -I -S pairtext.py MODE`,
+    # which must start without numpy; runpy runs it the same way here
+    helper = ROOT / "src" / "reexpansion" / "pairtext.py"
+    (tmp_path / "in").write_bytes(given)
+    code = (
+        "import runpy, sys; sys.argv = [sys.argv[1], sys.argv[2]]; "
+        "runpy.run_path(sys.argv[0], run_name='__main__'); "
+        "sys.stderr.write(repr([m for m in sys.modules if m.split('.')[0] == 'numpy']))"
+    )
+    with open(tmp_path / "in", "rb") as stdin:
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(helper), mode],
+                              stdin=stdin, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    assert proc.stderr == b"[]"

@@ -39,8 +39,10 @@ from reexpansion import (
     transform,
     weight_apply,
 )
+from reexpansion import pairtext, sequences
+from reexpansion.pairtext import CHUNK as _CHUNK
 from reexpansion.sequences import (
-    _CHUNK,
+    _TWO_PROCESSES,
     GL_NODES,
     _node_chunks,
     _phase_rows,
@@ -533,20 +535,95 @@ def _reference_bytes(dims, offsets, values):
 _FLOAT_EDGES = [-0.0, 0.1, 2.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, 123456789012345680.0]
 
 
-@pytest.mark.parametrize("n", [0, 1, _CHUNK, _CHUNK + 1, "float-edges"])
-def test_save_layout_matches_one_shot_dumps_1d(tmp_path, n):
-    edges = n == "float-edges"
-    n = _CHUNK + 1 if edges else n
+def _spawned(monkeypatch) -> list:
+    """The argv of every process started from here on, through a spy on Popen."""
+    started, popen = [], subprocess.Popen
+
+    def spy(args, **kwargs):
+        started.append(args)
+        return popen(args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return started
+
+
+def _assert_no_leftovers(directory, *kept):
+    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(p.name for p in directory.iterdir()) == sorted(kept)  # no *.tmp file
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK, _CHUNK + 1, "float-edges", _TWO_PROCESSES - 1,
+                               _TWO_PROCESSES, _TWO_PROCESSES + 1, "float-edges-at-the-cuts"])
+def test_save_layout_matches_one_shot_dumps_1d(tmp_path, monkeypatch, n):
+    case = n if isinstance(n, str) else ""
+    n = {"float-edges": _CHUNK + 1, "float-edges-at-the-cuts": _TWO_PROCESSES + 1}.get(case, n)
     rng = np.random.default_rng(n)
     a = Coeff1D(-7, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    if edges:  # as (re, im) pairs: three before the chunk boundary, one after
-        pairs = np.array(_FLOAT_EDGES).view(np.complex128)
+    pairs = np.array(_FLOAT_EDGES).view(np.complex128)
+    if case == "float-edges":  # as (re, im) pairs: three before the chunk boundary, one after
         a.values[_CHUNK - 3 :] = pairs
         a.values[:4] = -pairs
+    if case == "float-edges-at-the-cuts":  # a band around the middle, where the halves meet
+        a.values[n // 2 - 1000 : n // 2 + 1000] = np.tile(pairs, 500)
+    started = _spawned(monkeypatch)
     path = tmp_path / "a.json"
     save_sequence(a, str(path))
-    assert path.read_bytes() == _reference_bytes([n], [-7], a.values)
+    text = path.read_bytes()
+    assert text == _reference_bytes([n], [-7], a.values)
+    if case == "float-edges-at-the-cuts":  # loading cuts near the text's midpoint: in the band
+        assert n // 2 - 900 < text[: len(text) // 2].count(b"], [") < n // 2 + 900
     np.testing.assert_array_equal(load_sequence(str(path)).values, a.values)
+    assert len(started) == (2 if n >= _TWO_PROCESSES else 0)  # one child to save, one to load
+    _assert_no_leftovers(tmp_path, "a.json")
+
+
+def _outcome(path):
+    """What loading ``path`` gives: its values, or its ValueError's message."""
+    try:
+        return load_sequence(str(path)).values
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("half", ["child", "parent"])
+@pytest.mark.parametrize("token", ["01", "1.", "+1", ".5", "true", "1" * 400, str(2**64)],
+                         ids=["leading-zero", "no-fraction-digit", "plus", "no-leading-digit",
+                              "true", "400-digit-integer", "integer-numpy-keeps-as-object"])
+def test_two_process_load_judges_each_token_as_one_process_does(tmp_path, monkeypatch, token, half):
+    # a token in either half gives the one-process path's error or values
+    n = _TWO_PROCESSES
+    path = tmp_path / "in.json"
+    save_sequence(Coeff1D(0, np.arange(n) + 0.5j), str(path))
+    k = 3 * n // 4 if half == "child" else n // 4
+    path.write_text(path.read_text().replace(f"[{float(k)!r}, 0.5]", f"[{token}, 0.5]"))
+    monkeypatch.setattr(sequences, "_TWO_PROCESSES", n + 1)
+    one = _outcome(path)
+    monkeypatch.undo()
+    started = _spawned(monkeypatch)
+    two = _outcome(path)
+    assert len(started) == 1
+    if isinstance(one, str):
+        assert two == one and str(path) in one
+    else:
+        np.testing.assert_array_equal(two, one)
+    _assert_no_leftovers(tmp_path, "in.json")
+
+
+@pytest.mark.parametrize("failure", ["no-interpreter", "child-exits-1"])
+def test_a_failed_child_leaves_the_same_bytes_and_values(tmp_path, monkeypatch, failure):
+    if failure == "no-interpreter":
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
+    else:
+        (tmp_path / "fail.py").write_text("raise SystemExit(1)\n")
+        monkeypatch.setattr(pairtext, "__file__", str(tmp_path / "fail.py"))
+    rng = np.random.default_rng(12)
+    a = CoeffND((4, -2), rng.standard_normal((_TWO_PROCESSES // 64, 64)) + 1j)
+    path = tmp_path / "a.json"
+    save_sequence(a, str(path))
+    assert path.read_bytes() == _reference_bytes(a.dims, a.offsets, a.values)
+    np.testing.assert_array_equal(load_sequence(str(path)).values, a.values)
+    _assert_no_leftovers(tmp_path, "a.json", *(["fail.py"] if failure == "child-exits-1" else []))
 
 
 def test_save_layout_matches_one_shot_dumps_2d(tmp_path):

@@ -683,7 +683,7 @@ class TestQ2Diagnostic:
         def transform(*args):
             raise AssertionError("q2_diagnostic transformed before checking its mode")
 
-        monkeypatch.setattr(weyl, "dht_full", transform)
+        monkeypatch.setattr(weyl, "_run_1d", transform)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="mode must be one of"):
