@@ -84,6 +84,7 @@ _KIND_FLOOR = {"full": None, "even": 1, "odd": 0, "even_halved": 1, "odd_halved"
 
 _NAIVE_VIEW_ROWS = 2  # naive batches up to this many rows never form the matrix
 _NAIVE_CHUNK_ELEMS = 4_000_000  # cap on a formed kernel-matrix chunk (entries)
+_FAST_BLOCK_ELEMS = 1 << 18  # cap on a fast row block's rows x FFT length
 
 # halved kind along an axis with parity bit eta_j
 _HALVED = {1: "even_halved", 0: "odd_halved"}
@@ -172,31 +173,38 @@ def _fast_len(n: int) -> int:
 
 
 def _recip(
-    batch: np.ndarray, offset: int, lo: int, hi: int, step: int, direct: float, reflected: float
+    batch: np.ndarray, offset: int, lo: int, hi: int, step: int, direct: float, reflected: float,
+    out: np.ndarray | None, col: int,
 ) -> np.ndarray:
     """direct R a + reflected R b at n = lo, lo + step, ... <= hi for real rows
-    ``batch`` at k_j = offset + step*j, a zero lag dropped: the rows' zero-padded
-    real FFT X times each kernel's, conj(X) for R b, and one inverse FFT."""
+    ``batch`` at k_j = offset + step*j, a zero lag dropped, into columns col::step
+    of ``out``: per row block, its zero-padded real FFT X times each kernel's,
+    conj(X) for R b, and one inverse FFT.  Without ``out``, one block is returned."""
     na = batch.shape[-1]
     nout = (hi - lo) // step + 1
-    kern = _reciprocal(direct, (lo - offset) + step * np.arange(1 - na, nout, dtype=float))
     size = _fast_len(na + nout - 1)
-    spec = rfft(batch, size, axis=-1)
-    out = spec * rfft(kern, size)
+    kern = rfft(_reciprocal(direct, (lo - offset) + step * np.arange(1.0 - na, nout)), size)
     if reflected:
-        # R b's kernel 1/(n + k) shifted by na - 1, the phase that takes X to the
-        # reversed rows' spectrum: p holds lag (p - na + 1) mod size, 0 past na + nout - 2
-        t = np.arange(1 - na, size + 1 - na, dtype=float)
-        t[: na - 1] += size
-        t *= step
-        t += lo + offset
-        t[t >= (lo + offset) + step * (na + nout - 1)] = 0.0
-        t = _reciprocal(reflected, t)
-        np.conjugate(spec, out=spec)
-        spec *= rfft(t)
-        out += spec
-    del spec  # its memory is free for the inverse FFT
-    return irfft(out, size, axis=-1)[..., na - 1 : na - 1 + nout]
+        # R b's kernel 1/(n + k), rolled by na - 1 to take X to the reversed rows' spectrum
+        t = np.zeros(size)
+        t[: na + nout - 1] = (lo + offset) + step * np.arange(na + nout - 1.0)
+        t = rfft(np.roll(_reciprocal(reflected, t), na - 1))
+
+    def block(part):  # numpy's FFT is 1.6x slower on the sweep's axis-0 view
+        spec = rfft(np.ascontiguousarray(part), size, axis=-1)
+        prod = spec * kern if reflected else np.multiply(spec, kern, out=spec)
+        if reflected:
+            prod += np.multiply(np.conjugate(spec, out=spec), t, out=spec)
+        del spec  # its memory is free for the inverse FFT
+        return irfft(prod, size, axis=-1)[..., na - 1 : na - 1 + nout]
+
+    rows = max(1, _FAST_BLOCK_ELEMS // size)  # the kernels' spectra serve every block
+    if out is None and rows >= len(batch):  # one block and no ``out``: no staging copy
+        return block(batch)
+    out = np.empty((len(batch), nout)) if out is None else out
+    for r0 in range(0, len(batch), rows):
+        out[r0 : r0 + rows, col::step] = block(batch[r0 : r0 + rows])
+    return out
 
 
 # kind -> (sign of R a, sign of R b, lattice step), as in the module docstring
@@ -212,19 +220,18 @@ _SPLIT = {
 def _fast(kind: str, x: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarray:
     """R a and R b per output class n0 (one class, or two parities at step 2)."""
     direct, reflected, step = _SPLIT[kind]
-    x = np.ascontiguousarray(x)  # numpy's FFT is 1.6x slower on the sweep's axis-0 view
     # support above the window: R a and R b of the even kinds nearly cancel,
     # 1/(n-k) + 1/(n+k) = (n/k) (1/(n-k) - 1/(n+k)) adds them instead
     far = kind in ("even", "even_halved") and offset > hi
     if far:
         x, reflected = x / (offset + np.arange(x.shape[-1])), -reflected
-    out = np.zeros((len(x), hi - lo + 1))
+    # one class fills the output without a staging array; a class may be empty
+    out = None if step == 1 and x.shape[-1] else np.zeros((len(x), hi - lo + 1))
     for n0 in range(lo, min(lo + step, hi + 1)):
         k0 = offset + (n0 + step - 1 - offset) % step  # first k at a kept lag
         sub = x[:, k0 - offset :: step]
-        if sub.shape[-1] == 0:
-            continue
-        out[:, n0 - lo :: step] = _recip(sub, k0, n0, hi, step, direct, reflected)
+        if sub.shape[-1]:
+            out = _recip(sub, k0, n0, hi, step, direct, reflected, out, n0 - lo)
     if far:
         out *= np.arange(lo, hi + 1)
     return out
@@ -272,9 +279,9 @@ def _checked_box(kinds, box, algorithm: str) -> list[tuple[int, int] | None]:
     return box
 
 
-def _apply_axis(nd: CoeffND, axis: int, kind: str, algorithm: str, lo: int, hi: int) -> CoeffND:
-    """Every line along ``axis`` is one row; real and imaginary rows go
-    through one real evaluation."""
+def _apply_axis(nd: CoeffND, axis: int, kind: str, algorithm: str, lo: int, hi: int) -> np.ndarray:
+    """``nd``'s values transformed along ``axis``: every line along it is one
+    row, and real and imaginary rows go through one real evaluation."""
     arr = np.moveaxis(nd.values, axis, -1)
     lead = arr.shape[:-1]
     batch = arr.reshape(math.prod(lead), arr.shape[-1])
@@ -282,12 +289,10 @@ def _apply_axis(nd: CoeffND, axis: int, kind: str, algorithm: str, lo: int, hi: 
     if np.any(batch.imag):  # real input skips the all-zero imaginary rows
         rows = np.concatenate([rows, batch.imag])
     out = _BATCH_EVAL[algorithm](kind, rows, nd.offsets[axis], lo, hi)
-    if len(rows) > len(batch):
-        out = out[: len(batch)] + 1j * out[len(batch) :]
-    out = np.moveaxis(out.reshape(lead + (hi - lo + 1,)), -1, axis)
-    offsets = list(nd.offsets)
-    offsets[axis] = lo
-    return CoeffND(tuple(offsets), out)
+    if len(rows) > len(batch):  # the bits of re + 1j * im, in one complex allocation
+        re, out = out[: len(batch)], 1j * out[len(batch) :]
+        out += re
+    return np.moveaxis(out.reshape(lead + (hi - lo + 1,)), -1, axis)
 
 
 def _sweep(a: CoeffND, kinds, box, algorithm: str, floors) -> CoeffND:
@@ -296,13 +301,11 @@ def _sweep(a: CoeffND, kinds, box, algorithm: str, floors) -> CoeffND:
     its box entry if one is given."""
     box = _checked_box(kinds, box, algorithm)
     nd = _one_sided(a, floors)
-    for ax, kind in enumerate(kinds):
-        if kind is not None:
-            nd = _apply_axis(nd, ax, kind, algorithm, *box[ax])
-        elif box[ax] is not None:
-            lo, hi = box[ax]
-            vals = window_axis(nd.values, nd.offsets[ax], ax, lo, hi)
-            nd = CoeffND(nd.offsets[:ax] + (lo,) + nd.offsets[ax + 1 :], vals)
+    for ax, (kind, window) in enumerate(zip(kinds, box)):
+        if window is not None:  # else an identity axis, kept whole
+            vals = (window_axis(nd.values, nd.offsets[ax], ax, *window) if kind is None
+                    else _apply_axis(nd, ax, kind, algorithm, *window))
+            nd = CoeffND(nd.offsets[:ax] + (window[0],) + nd.offsets[ax + 1 :], vals)
     return nd
 
 
@@ -353,13 +356,10 @@ def _normalize_box(box, d: int) -> list[tuple[int, int] | None]:
         raise ValueError(f"box has {len(box)} axes, expected {d}")
     out = []
     for entry in box:
-        if entry is None:
-            out.append(None)
-        else:
-            lo, hi = int(entry[0]), int(entry[1])
-            if hi < lo:
-                raise ValueError(f"empty box axis [{lo}, {hi}]")
-            out.append((lo, hi))
+        window = None if entry is None else (int(entry[0]), int(entry[1]))
+        if window is not None and window[1] < window[0]:
+            raise ValueError(f"empty box axis [{window[0]}, {window[1]}]")
+        out.append(window)
     return out
 
 

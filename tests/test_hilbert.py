@@ -350,6 +350,75 @@ def test_fast_path_takes_one_fft_pair_per_output_class(monkeypatch):
         assert calls == {"rows": classes, "kernel": classes * kernels, "irfft": classes}, kind
 
 
+def _traced_peak(call):
+    """``call()`` and the peak of the memory numpy allocated during it, in bytes."""
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_fast_path_memory_is_bounded_by_its_row_blocks(monkeypatch):
+    from reexpansion import hilbert
+
+    # a complex input is two real rows, each a block of its own at this size:
+    # beyond the rows, the staged real outputs and one kernel spectrum, one
+    # row's FFTs are held (3.75x the result; 6x with both rows' at once).
+    # numpy < 2 zero-pads irfft's input to the FFT length: 1.5x more per row
+    rng = np.random.default_rng(67)
+    n = 1 << 16
+    a = Coeff1D(1, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    out, peak = _traced_peak(lambda: dht_full(a, (-n, n)))
+    bound = 4.5 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 6.0
+    assert peak <= bound * out.values.nbytes, f"peak {peak / out.values.nbytes:.2f}x the result"
+
+    # many short rows in small blocks: past the output (staged as reals, then
+    # returned complex: 1.5x its bytes) a few blocks' arrays at most
+    monkeypatch.setattr(hilbert, "_FAST_BLOCK_ELEMS", 1 << 14)
+    wide = CoeffND((1, 0), rng.standard_normal((512, 1024)))
+    tall = CoeffND((0, 1), rng.standard_normal((1024, 512)))
+    for call in (
+        lambda: dht_tensor(wide, ParityVector((0, 0)), ParityVector((0, 1)), [None, (0, 63)]),
+        lambda: dht_tensor(tall, ParityVector((1, 0)), ParityVector((0, 0)), [(1, 64), None]),
+    ):
+        out, peak = _traced_peak(call)
+        assert out.values.shape in ((512, 64), (64, 512))
+        assert peak <= 1.5 * out.values.nbytes + 4 * 8 * hilbert._FAST_BLOCK_ELEMS, f"peak {peak}"
+
+
+def test_row_blocks_leave_every_output_bit_unchanged(monkeypatch):
+    from reexpansion import hilbert
+
+    default = hilbert._FAST_BLOCK_ELEMS
+    rng = np.random.default_rng(71)
+    vec = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    grid = rng.standard_normal((24, 20)) + 1j * rng.standard_normal((24, 20))
+    calls = []
+    for values in (vec, vec.real):
+        a = Coeff1D(1, values)
+        for kind in hilbert.KINDS:
+            lo = -400 if kind == "full" else hilbert._KIND_FLOOR[kind]
+            calls += [(getattr(hilbert, f"dht_{kind}"), (a, (lo, 400), alg)) for alg in ALGS]
+    for values in (grid, grid.real):
+        g = CoeffND((1, 0), values)
+        calls += [(dht_mixed, (g, ParityVector((1, 0)), [(1, 50), (0, 41)], alg)) for alg in ALGS]
+        calls += [(dht_tensor, (g, ParityVector((0, 1)), ParityVector((1, 0)), [(0, 47), (1, 43)], alg))
+                  for alg in ALGS]
+    whole = [f(*args).values.tobytes() for f, args in calls]  # every batch in one block
+    monkeypatch.setattr(hilbert, "_FAST_BLOCK_ELEMS", 1)  # one row per block
+    for (f, args), expected in zip(calls, whole):
+        assert f(*args).values.tobytes() == expected, (f.__name__, args[-1])
+
+    # a complex sequence is its real and imaginary rows, recombined as 1j * im + re
+    for budget in (1, default):
+        monkeypatch.setattr(hilbert, "_FAST_BLOCK_ELEMS", budget)
+        whole, re, im = (dht_full(Coeff1D(1, v), (-400, 400)).values for v in (vec, vec.real, vec.imag))
+        assert whole.tobytes() == (1j * im + re).tobytes()
+
+
 # The invariants below need no quadratic reference, so they check the
 # fast path at the largest advertised size.
 LARGE_N = 1 << 20
