@@ -363,16 +363,6 @@ def _normalize_box(box, d: int) -> list[tuple[int, int] | None]:
     return out
 
 
-def _mixed_naive(nd: CoeffND, kinds, box) -> CoeffND:
-    """Reference for the axis sweep: one kernel matrix per axis, tensordot."""
-    out = nd.values
-    for ax, (lo, hi) in enumerate(box):
-        size = nd.values.shape[ax]
-        kern = _naive(kinds[ax], np.eye(size), nd.offsets[ax], lo, hi)
-        out = np.tensordot(out, kern, axes=([0], [0]))  # window axis goes last
-    return CoeffND(tuple(lo for lo, _ in box), out)
-
-
 def dht_mixed(a: CoeffND, eta: ParityVector, box, algorithm: str = "fast") -> CoeffND:
     """Mixed halved transform: even-halved along axes with eta_j = 1,
     odd-halved along axes with eta_j = 0, with the joint parity
@@ -386,15 +376,10 @@ def dht_mixed(a: CoeffND, eta: ParityVector, box, algorithm: str = "fast") -> Co
 
 
 def _mixed(a: CoeffND, eta: ParityVector, box, algorithm: str, floors) -> CoeffND:
-    """:func:`dht_mixed` with the caller's input floors (0 keeps index 0);
-    ``naive`` runs the independent tensordot reference."""
+    """:func:`dht_mixed` with the caller's input floors (0 keeps index 0)."""
     if len(eta) != a.ndim:
         raise ValueError(f"parity vector has {len(eta)} axes, expected {a.ndim}")
-    kinds = tuple(_HALVED[bit] for bit in eta.bits)
-    if algorithm != "naive":
-        return _sweep(a, kinds, box, algorithm, floors)
-    box = _checked_box(kinds, box, algorithm)
-    return _mixed_naive(_one_sided(a, floors), kinds, box)
+    return _sweep(a, tuple(_HALVED[bit] for bit in eta.bits), box, algorithm, floors)
 
 
 def dht_tensor(

@@ -378,8 +378,8 @@ def quadrature_oracle(
 class SummabilityReport:
     """Windowed l1 norms of a transform plus the classical side conditions.
 
-    ``verdict_hint`` is "converging" when the whole transform is l1, else
-    "diverging": exact, from the moment sums (:func:`summability_report`).
+    ``verdict_hint`` is "converging" if the moment sums, tested within a
+    float band (:func:`summability_report`), say the transform is l1, else "diverging".
     """
 
     kind: str
@@ -408,11 +408,12 @@ def summability_report(
     ||a||_1/(N+1-kmax) on the first neglected term).
 
     Past a finite support the transform is a series in 1/n led by
-    moment sums, so the verdict is exact: ``full`` and ``even`` are l1
-    iff sum a_k = 0, ``even_halved`` iff also sum (-1)^k a_k = 0, and
-    ``odd``/``odd_halved`` always (a_0 left out but for ``full``).  A
-    sum is zero within n eps sum |a_k|, the rounding of n terms, n the
-    support length.  A NaN or infinite coefficient raises ValueError.
+    moment sums: ``full`` and ``even`` are l1 iff sum a_k = 0,
+    ``even_halved`` iff also sum (-1)^k a_k = 0, ``odd``/``odd_halved``
+    always (a_0 left out but for ``full``).  A sum counts as zero within
+    n eps sum |a_k| (n the support length), so {1: 1, 2: -(1 - 2^-52)},
+    whose sum is 2^-52, reads "converging" on ``full``.  A NaN or
+    infinite coefficient raises ValueError.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")

@@ -433,6 +433,27 @@ def test_emit_report_table_memory_does_not_grow_with_the_rows(tmp_path, mode):
     assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 101 * 201
 
 
+@pytest.mark.parametrize("argv", [
+    ["reexpand", "--parity", "10", "--box", "1:9,0:9"],  # the sine axis reaches index 0
+    ["hilbert", "--kind", "odd_halved", "--range", "0:12"],
+], ids=["reexpand-2d", "hilbert"])
+def test_naive_algorithm_agrees_with_fast(tmp_path, argv):
+    rng = np.random.default_rng(67)
+    path = tmp_path / "a.json"
+    a = (CoeffND((1, 0), rng.standard_normal((3, 4))) if argv[0] == "reexpand"
+         else Coeff1D(1, rng.standard_normal(6) + 1j * rng.standard_normal(6)))
+    save_sequence(a, str(path))
+    outs = {}
+    for alg in ("naive", "fast"):
+        outs[alg] = tmp_path / f"{alg}.json"
+        assert main(argv + ["--input", str(path), "--algorithm", alg,
+                            "--output", str(outs[alg])]) == 0
+    naive, fast = (load_sequence(str(outs[alg])) for alg in ("naive", "fast"))
+    assert naive.offsets == fast.offsets
+    scale = np.max(np.abs(fast.values))
+    assert np.max(np.abs(naive.values - fast.values)) <= 1e-12 * scale
+
+
 def test_determinism_byte_identical(tmp_path, impulse_file):
     argv = lambda o: ["hilbert", "--input", impulse_file(2), "--kind", "odd",
                       "--range", "0:32", "--output", o]

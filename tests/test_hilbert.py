@@ -18,7 +18,9 @@ from reexpansion import (
     Coeff1D,
     CoeffND,
     ParityVector,
+    ReexpandSpec,
     TransformRequest,
+    WeightExponent,
     cos_to_sin,
     dht_even,
     dht_even_halved,
@@ -28,6 +30,7 @@ from reexpansion import (
     dht_odd_halved,
     dht_tensor,
     l1_norm,
+    reexpand_nd,
     sin_to_cos,
     transform,
 )
@@ -520,6 +523,71 @@ class TestMixed:
             dht_mixed(a, ParityVector((1, 0)), [(0, 3), (0, 3)])  # cosine axis floor is 1
 
 
+def _mixed_by_definition(a: CoeffND, bits, box, keep_zero: bool = False) -> np.ndarray:
+    """The mixed halved transform as a direct sum of the definitions: over
+    k_j - m_j odd on every axis, a_k times the product over axes of
+    1/(m_j + k_j) + 1/(m_j - k_j) (cosine axis) or 1/(m_j + k_j) + 1/(k_j - m_j)
+    (sine axis).  Index 0 is dropped on every axis unless ``keep_zero``."""
+    out = np.zeros(tuple(hi - lo + 1 for lo, hi in box), dtype=complex)
+    for pos, value in np.ndenumerate(a.values):
+        k = [o + p for o, p in zip(a.offsets, pos)]
+        if value == 0 or (not keep_zero and 0 in k):
+            continue
+        for idx in np.ndindex(out.shape):
+            m = [lo + i for (lo, _), i in zip(box, idx)]
+            if all((kj - mj) % 2 == 1 for kj, mj in zip(k, m)):
+                term = value
+                for kj, mj, bit in zip(k, m, bits):
+                    term *= 1.0 / (mj + kj) + (1.0 / (mj - kj) if bit else 1.0 / (kj - mj))
+                out[idx] += term
+    return out
+
+
+# (parity bits, support offsets, box): both parities per axis, supports
+# starting at index 0 and up to 7, windows below, inside and past the support
+MIXED_DEFINITION_CASES = [
+    ((1, 0), (0, 3), [(1, 14), (0, 11)]),
+    ((0, 1), (6, 2), [(0, 9), (1, 12)]),
+    ((1, 1), (5, 0), [(2, 13), (3, 8)]),
+    ((0, 0), (4, 7), [(0, 3), (5, 16)]),
+    ((1, 0, 1), (0, 2, 5), [(1, 6), (0, 7), (1, 9)]),
+    ((0, 1, 0), (3, 0, 1), [(0, 5), (2, 8), (4, 9)]),
+]
+
+
+@pytest.mark.parametrize("bits,offsets,box", MIXED_DEFINITION_CASES,
+                         ids=[f"{''.join(map(str, c[0]))}-{c[1]}" for c in MIXED_DEFINITION_CASES])
+def test_naive_mixed_matches_the_definition(bits, offsets, box):
+    # the naive and fast n-D paths share the sweep's axis bookkeeping; this
+    # reference shares none of it
+    rng = np.random.default_rng(sum(offsets) + 7 * len(bits))
+    shape = (4, 5) if len(bits) == 2 else (3, 3, 3)
+    a = CoeffND(offsets, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    out = dht_mixed(a, ParityVector(bits), box, "naive")
+    expected = _mixed_by_definition(a, bits, box)
+    assert out.offsets == tuple(lo for lo, _ in box)
+    assert np.max(np.abs(out.values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("bits", [(1, 0), (0, 1), (1, 1)])
+def test_naive_reexpand_nd_with_subtract_mean_matches_the_definition(bits):
+    # subtract_mean rewrites the index-0 slice of each cosine axis to minus
+    # the sum of the rest of its line, and keeps index 0 in the transform
+    rng = np.random.default_rng(61)
+    values = rng.standard_normal((4, 5))
+    box = ((bits[0], 10), (bits[1], 9))  # windows at the floors
+    spec = ReexpandSpec(ParityVector(bits), WeightExponent.zero(2), box, subtract_mean=True)
+    out = reexpand_nd(CoeffND((0, 0), values), spec, "naive")
+    shifted = values.copy()
+    for ax, bit in enumerate(bits):
+        if bit:
+            lines = np.moveaxis(shifted, ax, 0)
+            lines[0] = -lines[1:].sum(axis=0)
+    expected = (2 / np.pi) ** 2 * _mixed_by_definition(
+        CoeffND((0, 0), shifted), bits, box, keep_zero=True)
+    assert np.max(np.abs(out.values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 class TestTensor:
     def test_identity_when_no_axis_selected(self):
         a = CoeffND((1, 1), np.arange(6.0).reshape(2, 3))
@@ -582,11 +650,7 @@ class TestOneSupportRule:
     @pytest.mark.parametrize("bit,op,lo", [(1, dht_even_halved, 1), (0, dht_odd_halved, 0)])
     def test_one_axis_mixed_is_the_halved_kernel(self, alg, bit, op, lo):
         out = dht_mixed(self.A, ParityVector((bit,)), [(lo, 12)], alg)
-        expected = op(self.A, (lo, 12), alg).values
-        if alg == "fast":  # the same sweep
-            np.testing.assert_array_equal(out.values, expected)
-        else:  # the separate tensordot reference
-            np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(out.values, op(self.A, (lo, 12), alg).values)
 
     @pytest.mark.parametrize("call", [
         lambda a: dht_even(a, (1, 4)),
