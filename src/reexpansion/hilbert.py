@@ -27,8 +27,8 @@ other kinds are the products
 
 with the self-terms +-a_n/(2n) added apart.  A product has no
 subtraction, so each entry is correct to a few roundings even for
-support far above the window (how the views are contracted: see
-:func:`_naive`).
+support far above the window.  One einsum contracts the views for
+every batch size and never forms the matrix (see :func:`_naive`).
 
 The ``fast`` evaluator writes every kernel through the reciprocal-lag
 sum R a(n) = sum_{k != n} a_k/(n-k) of the support and of its
@@ -82,8 +82,6 @@ ALGORITHMS = ("naive", "fast")
 # lowest admissible output index per kind
 _KIND_FLOOR = {"full": None, "even": 1, "odd": 0, "even_halved": 1, "odd_halved": 0}
 
-_NAIVE_VIEW_ROWS = 2  # naive batches up to this many rows never form the matrix
-_NAIVE_CHUNK_ELEMS = 4_000_000  # cap on a formed kernel-matrix chunk (entries)
 _FAST_BLOCK_ELEMS = 1 << 18  # cap on a fast row block's rows x FFT length
 
 # halved kind along an axis with parity bit eta_j
@@ -112,11 +110,10 @@ class TransformRequest:
 def _naive(kind: str, x: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarray:
     """Quadratic mat-vec with the kernel matrix from the definitions above:
     a Toeplitz view of 1/(n - k) and, but for ``full``, a Hankel view of
-    1/(n + k).  Up to ``_NAIVE_VIEW_ROWS`` rows, einsum's own loop contracts
-    the views and the matrix is never formed; larger batches form it in
-    chunks of at most ``_NAIVE_CHUNK_ELEMS`` entries, once for all rows.
-    The factor 2n and the self-terms act on the output and +-2k on the
-    input."""
+    1/(n + k), contracted by one einsum loop for every batch size, so the
+    matrix is never formed and memory stays linear in rows x window +
+    support.  The factor 2n and the self-terms act on the output and +-2k
+    on the input."""
     out = np.zeros((len(x), hi - lo + 1))
     if x.shape[-1] == 0:
         return out
@@ -129,23 +126,10 @@ def _naive(kind: str, x: np.ndarray, offset: int, lo: int, hi: int) -> np.ndarra
     toeplitz = sliding_window_view(recip, len(k))[:, ::-1]
     hankel = sliding_window_view(hank, len(k))
     col = {"odd": 2.0 * k, "odd_halved": -2.0 * k}.get(kind, 1.0)  # 2n goes on out
-    if len(x) <= _NAIVE_VIEW_ROWS:
-        if kind == "full":
-            np.einsum("nk,bk->bn", toeplitz, x, out=out, optimize=False)
-        else:
-            np.einsum("nk,nk,bk->bn", toeplitz, hankel, col * x, out=out, optimize=False)
+    if kind == "full":
+        np.einsum("nk,bk->bn", toeplitz, x, out=out, optimize=False)
     else:
-        step = max(1, _NAIVE_CHUNK_ELEMS // len(k))
-        buf = np.empty((min(step, hi - lo + 1), len(k)))
-        for c0 in range(0, hi - lo + 1, step):
-            part = slice(c0, c0 + step)
-            kern = buf[: len(toeplitz[part])]
-            if kind == "full":
-                kern[:] = toeplitz[part]
-            else:
-                np.multiply(toeplitz[part], hankel[part], out=kern)
-                kern *= col
-            out[:, part] = x @ kern.T
+        np.einsum("nk,nk,bk->bn", toeplitz, hankel, col * x, out=out, optimize=False)
     if kind.startswith("even"):
         out *= 2.0 * np.arange(lo, hi + 1)
     if kind in ("even", "odd"):  # self-terms; the n = 0 one of ``odd`` stays 0

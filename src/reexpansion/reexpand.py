@@ -157,6 +157,7 @@ def reexpand_nd(a, spec: ReexpandSpec, algorithm: str = "fast") -> CoeffND:
     before transforming, so the result re-expands f minus its values on
     the cosine faces.
     """
+    _require_finite(a)
     if not spec.q.is_zero:
         raise ValueError("reexpand_nd handles q = 0 only; use reexpand_weighted")
     if a.ndim != len(spec.eta):
@@ -207,7 +208,9 @@ def reexpand_weighted(a, spec: ReexpandSpec, algorithm: str = "fast") -> Weighte
     guaranteed when D^s f vanishes on the faces for all s < q; that
     precondition is checked at ``spec.boundary_tol`` and reported in
     ``boundary``, not enforced; a failed check also issues a
-    ``UserWarning`` once the result is computed.
+    ``UserWarning`` once the result is computed.  A NaN or infinite
+    coefficient raises ``ValueError``, and so does a finite one whose
+    k^q a_k overflows, before any warning.
     """
     eta, q = spec.eta, spec.q
     if a.ndim != len(eta):

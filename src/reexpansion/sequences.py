@@ -503,6 +503,7 @@ def boundary_vanish_check(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    _require_finite(a)
     d = a.ndim
     _check_dim(d, eta, "parity vector")
     _check_dim(d, q, "weight exponent")

@@ -289,10 +289,9 @@ def test_naive_path_is_fft_free_and_linear_in_memory(monkeypatch):
             tracemalloc.stop()
         assert peak <= 32 * (n + n) * 8, f"{kind}: peak {peak} bytes"
 
-    # many-row batches form the matrix, one chunk of at most
-    # _NAIVE_CHUNK_ELEMS entries at a time (whole, 2^12 x 2^12 is 128 MB)
-    n = 1 << 12
-    batch = rng.standard_normal((hilbert._NAIVE_VIEW_ROWS + 1, n))
+    # a many-row batch does not form it either, and equals its rows one at a time
+    n, rows = 1 << 12, 3
+    batch = rng.standard_normal((rows, n))
     for kind in hilbert.KINDS:
         lo = hilbert._KIND_FLOOR[kind] or 1
         tracemalloc.start()
@@ -301,9 +300,9 @@ def test_naive_path_is_fft_free_and_linear_in_memory(monkeypatch):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        rows = [hilbert._naive(kind, row[None, :], 1, lo, n)[0] for row in batch]
-        np.testing.assert_allclose(out, rows, rtol=0, atol=1e-12 * np.max(np.abs(rows)))
-        assert peak <= 2 * hilbert._NAIVE_CHUNK_ELEMS * 8, f"{kind}: peak {peak} bytes"
+        each = [hilbert._naive(kind, row[None, :], 1, lo, n)[0] for row in batch]
+        assert np.array_equal(out, each), kind
+        assert peak <= 32 * (rows * n + n + n) * 8, f"{kind}: peak {peak} bytes"
 
 
 def _is_5_smooth(m: int) -> bool:

@@ -38,6 +38,16 @@ E1 = Coeff1D.impulse(1)
 COS = ParityVector((1,))
 SIN = ParityVector((0,))
 Q0 = WeightExponent((0,))
+NON_FINITE = pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imag"]
+)
+
+
+def _block_holding(bad) -> CoeffND:
+    """A 2-D block with one NaN or infinite entry among ones."""
+    vals = np.ones((2, 3), complex)
+    vals[1, 1] = bad
+    return CoeffND((1, 1), vals)
 
 
 class TestOneDimensionalMaps:
@@ -111,6 +121,16 @@ class TestReexpandNd:
         spec = ReexpandSpec(ParityVector((1, 0)), WeightExponent.zero(2), ((1, 3), (0, 3)))
         with pytest.raises(ValueError):
             reexpand_nd(E1, spec)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("subtract_mean", [False, True])
+    def test_non_finite_coefficient_raises(self, bad, subtract_mean):
+        spec = ReexpandSpec(
+            ParityVector((1, 0)), WeightExponent.zero(2), ((1, 3), (0, 3)), subtract_mean=subtract_mean
+        )
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="coefficients must be finite"):
+            warnings.simplefilter("error")
+            reexpand_nd(_block_holding(bad), spec)
 
 
 class TestSubtractMean:
@@ -478,6 +498,20 @@ class TestWeighted:
         np.testing.assert_allclose(res.raw.values, oracle.values, atol=1e-9)
         assert res.eta_effective.bits == (0, 0)
         assert res.sign == -1.0
+
+    @NON_FINITE
+    def test_non_finite_coefficient_raises_before_the_boundary_warning(self, bad):
+        spec = ReexpandSpec(ParityVector((1, 0)), WeightExponent((1, 0)), ((0, 3), (0, 3)))
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="coefficients must be finite"):
+            warnings.simplefilter("error")
+            reexpand_weighted(_block_holding(bad), spec)
+
+    def test_weights_that_overflow_raise(self):
+        # a finite series whose k^q a_k is infinite: k = 2 doubles 1.7e308
+        a = Coeff1D.from_dict({1: 1.7e308, 2: -1.7e308})
+        spec = ReexpandSpec(COS, WeightExponent((1,)), ((0, 4),))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="coefficients must be finite"):
+            reexpand_weighted(a, spec)
 
 
 class TestSummabilityReport:

@@ -350,6 +350,16 @@ def test_boundary_bound_is_the_size_of_a_one_term_restriction(offsets, values, e
     assert [(c.axis, c.max_abs) for c in report.checks] == [(0, bound), (0, bound)]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imag"])
+def test_boundary_check_of_a_non_finite_coefficient_raises(bad):
+    vals = np.ones((2, 3), complex)
+    vals[1, 1] = bad
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        boundary_vanish_check(
+            CoeffND((1, 1), vals), ParityVector.from_string("10"), WeightExponent((1, 0)), 1e-9
+        )
+
+
 def test_boundary_check_of_a_far_block_allocates_no_window_from_zero():
     import tracemalloc
 
